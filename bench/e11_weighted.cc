@@ -24,8 +24,8 @@
 #include <sstream>
 
 #include "bench_common.h"
+#include "core/core_approx.h"
 #include "dds/core_exact.h"
-#include "dds/weighted_dds.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -108,13 +108,14 @@ int Main(int argc, const char* const* argv) {
     // timing once reported a spurious <1.0 "speedup" here.
     ExactOptions fresh_options;
     fresh_options.incremental_probe = false;
-    (void)WeightedCoreExact(wg);
+    (void)SolveExactDds(wg, ExactOptions{});
     (void)SolveExactDds(wg, fresh_options);
     t_weighted = 1e99;
     t_weighted_fresh = 1e99;
     for (int rep = 0; rep < 3; ++rep) {
       t_weighted = std::min(
-          t_weighted, TimeOnce([&] { weighted = WeightedCoreExact(wg); }));
+          t_weighted,
+          TimeOnce([&] { weighted = SolveExactDds(wg, ExactOptions{}); }));
       t_weighted_fresh = std::min(
           t_weighted_fresh,
           TimeOnce([&] { weighted_fresh = SolveExactDds(wg, fresh_options); }));
@@ -131,10 +132,10 @@ int Main(int argc, const char* const* argv) {
               RangeOf(weighted_fresh.pair.s),
               FormatSeconds(t_weighted_fresh)});
   }
-  WeightedCoreApproxResult approx;
+  CoreApproxResult approx;
   double t_approx = 0;
   {
-    t_approx = TimeOnce([&] { approx = WeightedCoreApprox(wg); });
+    t_approx = TimeOnce([&] { approx = CoreApprox(wg); });
     std::string core_cell = "[";
     core_cell += std::to_string(approx.best_x);
     core_cell += ",";
@@ -153,7 +154,7 @@ int Main(int argc, const char* const* argv) {
   // keep the audit robust to future preset drift).
   const WeightedDigraph unit = WeightedDigraph::FromDigraph(g);
   const double d_plain = plain.density;
-  const double d_weighted = WeightedCoreExact(unit).density;
+  const double d_weighted = SolveExactDds(unit, ExactOptions{}).density;
   std::printf("\nunit-weight agreement: unweighted %.6f vs weighted %.6f\n",
               d_plain, d_weighted);
   if (std::abs(weighted_fresh.density - weighted.density) > 1e-9) {

@@ -382,7 +382,7 @@ int Main(int argc, char** argv) {
   double* zipf_s = flags.Double(
       "zipf_s", 1.0, "Zipf exponent of the query mix (0 = uniform)");
   int64_t* seed = flags.Int64("seed", 42, "base RNG seed");
-  int64_t* workers = flags.Int64("workers", 2, "scheduler pool workers");
+  int64_t* workers = flags.Int64("workers", 2, "scheduler worker threads");
   int64_t* queue_capacity =
       flags.Int64("queue_capacity", 64, "admission queue bound");
   std::string* json_out = flags.String(
@@ -435,7 +435,7 @@ int Main(int argc, char** argv) {
   GraphCatalog catalog;
   CHECK(catalog.AddGraph("uni", uni).ok());
   CHECK(catalog.AddGraph("rmat", rmat).ok());
-  CHECK(catalog.AddWeightedGraph("wuni", wuni).ok());
+  CHECK(catalog.AddGraph("wuni", wuni).ok());
 
   // Hot → cold: approximations first, certified exact at the Zipf tail.
   std::vector<MixItem> mix = {
@@ -589,7 +589,7 @@ int Main(int argc, char** argv) {
   GraphCatalog catalog2;
   CHECK(catalog2.AddGraph("uni", uni).ok());
   CHECK(catalog2.AddGraph("rmat", rmat).ok());
-  CHECK(catalog2.AddWeightedGraph("wuni", wuni).ok());
+  CHECK(catalog2.AddGraph("wuni", wuni).ok());
 
   // All-certified-exact mix: a miss visibly pays a full solve, so the
   // hit-vs-miss latency split is unambiguous. The Zipf-hot item is the

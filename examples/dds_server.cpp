@@ -9,8 +9,8 @@
 // ## Usage
 //
 //   # Serve two files: "web" unweighted, "reviews" weighted (u v w lines).
-//   ./build/dds_server --graphs "web=wiki-Vote.txt,reviews=reviews.wtxt:weighted" \
-//       --port 8642 --workers 4 --queue_capacity 128
+//   GRAPHS="web=wiki-Vote.txt,reviews=reviews.wtxt:weighted"
+//   ./build/dds_server --graphs "$GRAPHS" --port 8642 --workers 4
 //
 //   # No data handy: serve three deterministic synthetic demo graphs.
 //   ./build/dds_server --generate_demo
@@ -19,8 +19,8 @@
 //
 // Frames are "<byte length>\n<json>\n". One request per frame:
 //
-//   printf '{"graph": "web", "algo": "core-exact", "deadline_ms": 50}' \
-//       | awk '{ print length($0); print }' | nc 127.0.0.1 8642
+//   REQ='{"graph": "web", "algo": "core-exact", "deadline_ms": 50}'
+//   echo "$REQ" | awk '{ print length($0); print }' | nc 127.0.0.1 8642
 //
 // Fields: graph (required catalog name), algo (any dds_tool --algo name),
 // weighted (optional expectation check), deadline_ms (end-to-end budget;
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   int64_t* port =
       flags.Int64("port", 8642, "TCP port; 0 picks an ephemeral port");
   int64_t* workers = flags.Int64(
-      "workers", 2, "scheduler pool workers pulling from the queue");
+      "workers", 2, "scheduler worker threads pulling from the queue");
   int64_t* queue_capacity = flags.Int64(
       "queue_capacity", 64,
       "admitted-but-unserved request cap; beyond it requests are "
@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
     }
     if (!was_recovered("demo-weighted")) {
       add_demo("demo-weighted",
-               catalog.AddWeightedGraph(
+               catalog.AddGraph(
                    "demo-weighted",
                    UniformWeightedDigraph(400, 3000, 13, WeightOptions{})));
     }

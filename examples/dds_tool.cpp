@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
       "weighted", false,
       "treat the input as a `u v [w]` weighted edge list (generated "
       "graphs are lifted to unit weights) and maximize the weighted "
-      "density; combines with any --algo: " +
-          AlgorithmNamesHelp(/*weighted_only=*/true));
+      "density; combines with any --algo");
   bool* json = flags.Bool("json", false,
                           "print the solution as one JSON object");
   double* deadline_s = flags.Double(

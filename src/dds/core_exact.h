@@ -21,8 +21,8 @@
 /// weighted graphs verbatim with |E| -> w(E) (DESIGN.md §9), so one
 /// divide-and-conquer loop, one probe and one anytime-bookkeeping path
 /// serve both problems, and every `ExactOptions` flag below applies to
-/// weighted solves too (`WeightedCoreExact` in dds/weighted_dds.h is a
-/// thin preset over the weighted instantiation).
+/// weighted solves too: `SolveExactDds(g, ExactOptions{})` on a
+/// `WeightedDigraph` is the weighted CoreExact.
 ///
 /// One engine implements three published algorithms via feature flags
 /// (DESIGN.md §3), which is also how the ablation experiment E7 is run:

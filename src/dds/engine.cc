@@ -9,64 +9,12 @@
 #include "dds/flow_exact.h"
 #include "dds/lp_exact.h"
 #include "dds/naive_exact.h"
-#include "dds/weighted_dds.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ddsgraph {
 namespace {
-
-// ------------------------------------------------------------- runners
-// Each runner is one registry row's implementation, dispatching on
-// engine.weighted() where the algorithm is a weight-generic template. The
-// engine wrapper fills stats.seconds and stats.prior_engine_solves
-// afterwards, so every algorithm reports those uniformly.
-
-DdsSolution RunNaive(DdsEngine& engine, const DdsRequest&, SolveControl*) {
-  if (engine.weighted()) return WeightedNaiveExact(*engine.weighted_graph());
-  return NaiveExact(*engine.graph());
-}
-
-DdsSolution RunLp(DdsEngine& engine, const DdsRequest&, SolveControl*) {
-  if (engine.weighted()) return LpExact(*engine.weighted_graph());
-  return LpExact(*engine.graph());
-}
-
-// Shared by kFlowExact / kDcExact / kCoreExact, weighted or not: the
-// algorithm's defining flags overlay the request's ExactOptions, then the
-// one exact engine runs with the engine-owned workspace and the solve's
-// control — so weighted solves honor every ExactOptions flag and preset.
-DdsSolution RunExactEngine(DdsEngine& engine, const DdsRequest& request,
-                           SolveControl* control) {
-  ExactOptions options = ExactPresetFor(request.algorithm, request.exact);
-  options.threads = request.threads;
-  if (engine.weighted()) {
-    return SolveExactDds(*engine.weighted_graph(), options, control,
-                         engine.workspace());
-  }
-  return SolveExactDds(*engine.graph(), options, control,
-                       engine.workspace());
-}
-
-DdsSolution RunPeel(DdsEngine& engine, const DdsRequest& request,
-                    SolveControl*) {
-  PeelApproxOptions options = request.peel;
-  options.threads = request.threads;
-  if (engine.weighted()) {
-    return PeelApprox(*engine.weighted_graph(), options);
-  }
-  return PeelApprox(*engine.graph(), options);
-}
-
-DdsSolution RunBatchPeel(DdsEngine& engine, const DdsRequest& request,
-                         SolveControl*) {
-  BatchPeelOptions options = request.batch_peel;
-  options.threads = request.threads;
-  if (engine.weighted()) {
-    return BatchPeelApprox(*engine.weighted_graph(), options);
-  }
-  return BatchPeelApprox(*engine.graph(), options);
-}
 
 // The registry adapter for the core 2-approximation: convert the
 // CoreApprox result shape into a DdsSolution with the certified
@@ -86,35 +34,96 @@ DdsSolution CoreApproxSolution(const G& g, int threads) {
   return solution;
 }
 
-DdsSolution RunCoreApprox(DdsEngine& engine, const DdsRequest& request,
-                          SolveControl*) {
-  if (engine.weighted()) {
-    return CoreApproxSolution(*engine.weighted_graph(), request.threads);
+// Graph-aware validation: the size-guarded algorithms CHECK-abort when
+// called directly; through the facade an oversized graph is a Status.
+Status ValidateGraphSize(const DdsRequest& request, int64_t n) {
+  if (request.algorithm == DdsAlgorithm::kNaiveExact &&
+      n > kNaiveExactMaxVertices) {
+    return Status::InvalidArgument(
+        "naive-exact enumerates 4^n pairs; n=" + std::to_string(n) +
+        " exceeds the limit of " + std::to_string(kNaiveExactMaxVertices));
   }
-  return CoreApproxSolution(*engine.graph(), request.threads);
+  if (request.algorithm == DdsAlgorithm::kLpExact &&
+      n > kLpExactMaxVertices) {
+    return Status::InvalidArgument(
+        "lp-exact solves a dense LP per ratio; n=" + std::to_string(n) +
+        " exceeds the limit of " + std::to_string(kLpExactMaxVertices));
+  }
+  if (request.algorithm == DdsAlgorithm::kFlowExact ||
+      request.algorithm == DdsAlgorithm::kDcExact ||
+      request.algorithm == DdsAlgorithm::kCoreExact) {
+    const ExactOptions preset =
+        ExactPresetFor(request.algorithm, request.exact);
+    if (!preset.divide_and_conquer && n > preset.max_exhaustive_n) {
+      return Status::InvalidArgument(
+          AlgorithmName(request.algorithm) +
+          std::string(" enumerates O(n^2) ratios; n=") + std::to_string(n) +
+          " exceeds max_exhaustive_n=" +
+          std::to_string(preset.max_exhaustive_n) +
+          " (raise ExactOptions::max_exhaustive_n or use a "
+          "divide-and-conquer algorithm)");
+    }
+  }
+  return Status::Ok();
+}
+
+// The one runner behind every registry row, for either weight policy.
+// kFlowExact / kDcExact overlay their defining ablation flags on the
+// request's ExactOptions, then the one exact engine runs with the
+// engine-owned workspace and the solve's control — so weighted solves
+// honor every ExactOptions flag and preset. The engine wrapper fills
+// stats.seconds and stats.prior_engine_solves afterwards, so every
+// algorithm reports those uniformly.
+template <typename G>
+Result<DdsSolution> RunAlgorithm(const G& g, const DdsRequest& request,
+                                 SolveControl* control,
+                                 ProbeWorkspace* workspace) {
+  RETURN_IF_ERROR(ValidateGraphSize(request, g.NumVertices()));
+  switch (request.algorithm) {
+    case DdsAlgorithm::kNaiveExact:
+      return NaiveExact(g);
+    case DdsAlgorithm::kLpExact:
+      return LpExact(g);
+    case DdsAlgorithm::kFlowExact:
+    case DdsAlgorithm::kDcExact:
+    case DdsAlgorithm::kCoreExact: {
+      ExactOptions options = ExactPresetFor(request.algorithm, request.exact);
+      options.threads = request.threads;
+      return SolveExactDds(g, options, control, workspace);
+    }
+    case DdsAlgorithm::kPeelApprox: {
+      PeelApproxOptions options = request.peel;
+      options.threads = request.threads;
+      return PeelApprox(g, options);
+    }
+    case DdsAlgorithm::kBatchPeelApprox: {
+      BatchPeelOptions options = request.batch_peel;
+      options.threads = request.threads;
+      return BatchPeelApprox(g, options);
+    }
+    case DdsAlgorithm::kCoreApprox:
+      return CoreApproxSolution(g, request.threads);
+  }
+  // ValidateRequest rejects every value outside the enum first.
+  LOG(FATAL) << "unregistered DdsAlgorithm "
+             << static_cast<int>(request.algorithm);
+  return DdsSolution{};
 }
 
 // ------------------------------------------------------------ registry
 // One row per algorithm; everything the facade knows about an algorithm
-// lives here. Register a new solver by adding a row (and an enum value).
-// Every solver is a weight-generic template now, so every row carries
-// weighted_capable=true — the bit stays in the schema for future solvers
-// that genuinely cannot serve a weighted engine.
+// beyond its runner case lives here. Register a new solver by adding a
+// row, an enum value and a RunAlgorithm case.
 constexpr AlgorithmInfo kRegistry[] = {
     {DdsAlgorithm::kNaiveExact, "naive-exact", /*exact=*/true,
-     /*weighted_capable=*/true, /*uses_workspace=*/false, RunNaive},
-    {DdsAlgorithm::kLpExact, "lp-exact", true, true, false, RunLp},
-    {DdsAlgorithm::kFlowExact, "flow-exact", true, true, true,
-     RunExactEngine},
-    {DdsAlgorithm::kDcExact, "dc-exact", true, true, true, RunExactEngine},
-    {DdsAlgorithm::kCoreExact, "core-exact", true, true, true,
-     RunExactEngine},
-    {DdsAlgorithm::kPeelApprox, "peel-approx", false, true, false,
-     RunPeel},
-    {DdsAlgorithm::kBatchPeelApprox, "batch-peel-approx", false, true,
-     false, RunBatchPeel},
-    {DdsAlgorithm::kCoreApprox, "core-approx", false, true, false,
-     RunCoreApprox},
+     /*uses_workspace=*/false},
+    {DdsAlgorithm::kLpExact, "lp-exact", true, false},
+    {DdsAlgorithm::kFlowExact, "flow-exact", true, true},
+    {DdsAlgorithm::kDcExact, "dc-exact", true, true},
+    {DdsAlgorithm::kCoreExact, "core-exact", true, true},
+    {DdsAlgorithm::kPeelApprox, "peel-approx", false, false},
+    {DdsAlgorithm::kBatchPeelApprox, "batch-peel-approx", false, false},
+    {DdsAlgorithm::kCoreApprox, "core-approx", false, false},
 };
 
 }  // namespace
@@ -135,10 +144,9 @@ const AlgorithmInfo* FindAlgorithm(std::string_view name) {
   return nullptr;
 }
 
-std::string AlgorithmNamesHelp(bool weighted_only) {
+std::string AlgorithmNamesHelp() {
   std::string out;
   for (const AlgorithmInfo& info : kRegistry) {
-    if (weighted_only && !info.weighted_capable) continue;
     if (!out.empty()) out += " | ";
     out += info.name;
   }
@@ -224,45 +232,6 @@ Result<DdsSolution> DdsEngine::Solve(const DdsRequest& request) {
   Status status = ValidateRequest(request);
   if (!status.ok()) return status;
   const AlgorithmInfo* info = FindAlgorithm(request.algorithm);
-  if (weighted() && !info->weighted_capable) {
-    return Status::Unimplemented(
-        std::string(info->name) +
-        " has no weighted implementation; weighted-capable algorithms: " +
-        AlgorithmNamesHelp(/*weighted_only=*/true));
-  }
-  // Graph-aware validation: the size-guarded algorithms CHECK-abort when
-  // called directly; through the facade an oversized graph is a Status.
-  const int64_t n = weighted() ? weighted_graph_->NumVertices()
-                               : graph_->NumVertices();
-  if (request.algorithm == DdsAlgorithm::kNaiveExact &&
-      n > kNaiveExactMaxVertices) {
-    return Status::InvalidArgument(
-        "naive-exact enumerates 4^n pairs; n=" + std::to_string(n) +
-        " exceeds the limit of " + std::to_string(kNaiveExactMaxVertices));
-  }
-  if (request.algorithm == DdsAlgorithm::kLpExact &&
-      n > kLpExactMaxVertices) {
-    return Status::InvalidArgument(
-        "lp-exact solves a dense LP per ratio; n=" + std::to_string(n) +
-        " exceeds the limit of " + std::to_string(kLpExactMaxVertices));
-  }
-  // The exhaustive-enumeration guard applies to weighted engines too now
-  // that they run the same exact engine with the same ExactOptions.
-  if (request.algorithm == DdsAlgorithm::kFlowExact ||
-      request.algorithm == DdsAlgorithm::kDcExact ||
-      request.algorithm == DdsAlgorithm::kCoreExact) {
-    const ExactOptions preset =
-        ExactPresetFor(request.algorithm, request.exact);
-    if (!preset.divide_and_conquer && n > preset.max_exhaustive_n) {
-      return Status::InvalidArgument(
-          AlgorithmName(request.algorithm) +
-          std::string(" enumerates O(n^2) ratios; n=") + std::to_string(n) +
-          " exceeds max_exhaustive_n=" +
-          std::to_string(preset.max_exhaustive_n) +
-          " (raise ExactOptions::max_exhaustive_n or use a "
-          "divide-and-conquer algorithm)");
-    }
-  }
   WallTimer timer;
   SolveControl control(request.deadline_seconds, request.progress);
   // Clamp the fan-out to the hardware: beyond it, CPU-bound peels and
@@ -274,7 +243,13 @@ Result<DdsSolution> DdsEngine::Solve(const DdsRequest& request) {
   if (hardware > 0 && effective.threads > static_cast<int>(hardware)) {
     effective.threads = static_cast<int>(hardware);
   }
-  DdsSolution solution = info->run(*this, effective, &control);
+  Result<DdsSolution> solved = std::visit(
+      [&](const auto* graph) {
+        return RunAlgorithm(*graph, effective, &control, &workspace_);
+      },
+      graph_);
+  if (!solved.ok()) return solved;
+  DdsSolution& solution = solved.value();
   // Facade-level uniformity: every algorithm reports wall time and the
   // engine-reuse provenance the same way. Only workspace-using solves
   // count as scratch inheritance — a core-approx query between two exact
@@ -283,7 +258,7 @@ Result<DdsSolution> DdsEngine::Solve(const DdsRequest& request) {
   solution.stats.prior_engine_solves = workspace_solves_;
   if (info->uses_workspace) ++workspace_solves_;
   ++num_solves_;
-  return solution;
+  return solved;
 }
 
 }  // namespace ddsgraph

@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "dds/batch_peel_approx.h"
 #include "dds/control.h"
@@ -26,11 +27,12 @@
 /// is constructed once over a `Digraph` or a `WeightedDigraph` and owns
 /// the long-lived scratch (`ProbeWorkspace`: build scratch + epoch sets),
 /// so repeated queries on the same graph amortize setup — the serving
-/// scenario. Dispatch is table-driven: `AlgorithmRegistry()` is the single
-/// source of truth for every algorithm's name, exactness, weighted
-/// capability and runner; `AlgorithmName` / `ParseAlgorithmName` /
-/// `IsExactAlgorithm` and the CLI `--algo` help string all derive from it,
-/// and a new solver registers by adding one row.
+/// scenario. `AlgorithmRegistry()` is the single source of truth for every
+/// algorithm's name and exactness; `AlgorithmName` / `ParseAlgorithmName` /
+/// `IsExactAlgorithm` and the CLI `--algo` help string all derive from it.
+/// Every solver is one template over `DigraphT<WeightPolicy>`, so `Solve`
+/// picks the weight flavor once (one `std::visit` over the bound graph)
+/// and one templated runner switches on the algorithm.
 ///
 /// Exact solves are *anytime*: when the deadline passes or the callback
 /// cancels, the solve unwinds and returns the incumbent pair with
@@ -110,18 +112,12 @@ Status ValidateRequest(const DdsRequest& request);
 /// Status in both.
 class DdsEngine {
  public:
+  /// An engine over a WeightedDigraph serves the full registry under the
+  /// weighted objective w(E(S,T))/sqrt(|S||T|).
   explicit DdsEngine(const Digraph& graph) : graph_(&graph) {}
-  explicit DdsEngine(const WeightedDigraph& graph)
-      : weighted_graph_(&graph) {}
+  explicit DdsEngine(const WeightedDigraph& graph) : graph_(&graph) {}
 
-  /// True when this engine was constructed over a WeightedDigraph. Every
-  /// registered algorithm is weight-generic, so such an engine serves the
-  /// full registry under the weighted objective w(E(S,T))/sqrt(|S||T|).
-  bool weighted() const { return weighted_graph_ != nullptr; }
-  const Digraph* graph() const { return graph_; }
-  const WeightedDigraph* weighted_graph() const { return weighted_graph_; }
-
-  /// Validates and dispatches `request` through the registry. Errors
+  /// Validates and runs `request` on the bound graph. Errors
   /// (invalid options, oversized graphs for the guarded algorithms) come
   /// back as a Status instead of aborting. The returned
   /// solution is bit-identical to the corresponding one-shot free-function
@@ -133,14 +129,9 @@ class DdsEngine {
   /// Number of successful solves served so far.
   int64_t num_solves() const { return num_solves_; }
 
-  /// The engine-owned long-lived scratch, threaded into the exact solvers
-  /// by the registry runners. Exposed for those runners; not part of the
-  /// user-facing surface.
-  ProbeWorkspace* workspace() { return &workspace_; }
-
  private:
-  const Digraph* graph_ = nullptr;
-  const WeightedDigraph* weighted_graph_ = nullptr;
+  std::variant<const Digraph*, const WeightedDigraph*> graph_;
+  /// Long-lived scratch threaded into the flow-based exact solvers.
   ProbeWorkspace workspace_;
   int64_t num_solves_ = 0;
   /// Solves that ran through `workspace_` (feeds prior_engine_solves).
@@ -149,28 +140,21 @@ class DdsEngine {
   std::atomic_flag solving_ = ATOMIC_FLAG_INIT;
 };
 
-/// One registry row with a single weight-dispatched runner: `run` solves
-/// on the engine's graph, branching on DdsEngine::weighted() — every
-/// registered algorithm is a weight-generic template, so every current
-/// row is weighted-capable (Solve() still rejects weighted requests for
-/// any future `weighted_capable == false` row before dispatch). Runners
-/// receive the engine (graph + workspace), the request, and the solve's
-/// SolveControl.
+/// One registry row. Every algorithm is a weight-generic template, so
+/// engines of both weight flavors serve every row.
 struct AlgorithmInfo {
   DdsAlgorithm algorithm;
-  const char* name;       ///< canonical lower-case CLI name
-  bool exact;             ///< returns the optimum when uninterrupted
-  bool weighted_capable;  ///< serves a WeightedDigraph engine
-  /// True when the runners solve through the engine-owned ProbeWorkspace
-  /// (the flow-based exact solvers); drives the prior_engine_solves
-  /// provenance counter and implies the anytime deadline is honored.
+  const char* name;  ///< canonical lower-case CLI name
+  bool exact;        ///< returns the optimum when uninterrupted
+  /// True when the algorithm solves through the engine-owned
+  /// ProbeWorkspace (the flow-based exact solvers); drives the
+  /// prior_engine_solves provenance counter and implies the anytime
+  /// deadline is honored.
   bool uses_workspace;
-  DdsSolution (*run)(DdsEngine& engine, const DdsRequest& request,
-                     SolveControl* control);
 };
 
 /// The algorithm table, in enum order — the one source of truth for
-/// names, exactness, weighted capability and dispatch.
+/// names and exactness.
 std::span<const AlgorithmInfo> AlgorithmRegistry();
 
 /// Registry lookup by enum / by canonical name; nullptr when unknown.
@@ -178,8 +162,7 @@ const AlgorithmInfo* FindAlgorithm(DdsAlgorithm algorithm);
 const AlgorithmInfo* FindAlgorithm(std::string_view name);
 
 /// All registered names joined with " | " — the CLI --algo help string.
-/// `weighted_only` restricts to the weighted-capable rows.
-std::string AlgorithmNamesHelp(bool weighted_only = false);
+std::string AlgorithmNamesHelp();
 
 }  // namespace ddsgraph
 

@@ -21,6 +21,13 @@ inline constexpr uint32_t kNaiveExactMaxVertices = 14;
 /// the lexicographically smallest (S mask, T mask) encountered first.
 DdsSolution NaiveExact(const Digraph& g);
 
+/// The weighted ground truth: maximizes w(E(S,T)) / sqrt(|S| |T|) by the
+/// same exhaustive enumeration (n <= kNaiveExactMaxVertices). The one
+/// weighted solver that is not an instantiation of shared engine code —
+/// the certifier the weighted equivalence tests measure everything
+/// against.
+DdsSolution NaiveExact(const WeightedDigraph& g);
+
 }  // namespace ddsgraph
 
 #endif  // DDSGRAPH_DDS_NAIVE_EXACT_H_

@@ -9,12 +9,11 @@
 #include "graph/digraph.h"
 
 /// \file
-/// Enum-keyed convenience facade over all DDS algorithms.
+/// The DDS algorithm enum and its name/preset helpers.
 ///
-/// The names, exactness flags and dispatch below are all derived from the
-/// algorithm registry in dds/engine.h — this header stays the terse
-/// entry point for one-shot calls, while DdsEngine is the configurable,
-/// reusable one (options, weighted graphs, deadlines, cancellation).
+/// The names and exactness flags below are derived from the algorithm
+/// registry in dds/engine.h; DdsEngine is the one entry point that runs an
+/// algorithm by enum (options, weighted graphs, deadlines, cancellation).
 
 namespace ddsgraph {
 
@@ -38,25 +37,15 @@ std::optional<DdsAlgorithm> ParseAlgorithmName(const std::string& name);
 /// True for the algorithms that return the optimum (not an approximation).
 bool IsExactAlgorithm(DdsAlgorithm algorithm);
 
-/// True for the algorithms with a WeightedDigraph implementation — the
-/// ones a weighted DdsEngine can serve.
-bool IsWeightedCapableAlgorithm(DdsAlgorithm algorithm);
-
 /// The ExactOptions an exact algorithm actually runs with, given the
 /// caller's `base`: kCoreExact keeps base verbatim; kDcExact and
 /// kFlowExact force the ablation flags that define them (divide &
 /// conquer on/off, no core pruning, no per-guess refinement, no warm
 /// start) while preserving the engine knobs (incremental_probe,
 /// record_network_sizes, max_exhaustive_n). Identity for the other
-/// algorithms. The single source of preset truth for both the registry
-/// runners and the FlowExact / DcExact free functions.
+/// algorithms. The single source of preset truth for both DdsEngine and
+/// the FlowExact / DcExact free functions.
 ExactOptions ExactPresetFor(DdsAlgorithm algorithm, ExactOptions base);
-
-/// Runs the selected algorithm on `g` with default options — a thin
-/// wrapper over DdsEngine (one-shot engine, no deadline). stats.seconds
-/// is always filled. Invalid requests are fatal here; use
-/// DdsEngine::Solve for the Status-returning path.
-DdsSolution RunDdsAlgorithm(const Digraph& g, DdsAlgorithm algorithm);
 
 /// One-line human-readable summary of a solution.
 std::string SolutionSummary(const DdsSolution& solution);

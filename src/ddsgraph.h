@@ -7,12 +7,13 @@
 /// ddsgraph reproduces "Efficient Algorithms for Densest Subgraph
 /// Discovery on Large Directed Graphs" (SIGMOD 2020): exact and
 /// approximation algorithms for the directed densest subgraph problem
-/// built on [x,y]-cores. See README.md for a quickstart and DESIGN.md for
-/// the architecture.
+/// built on [x,y]-cores. See DESIGN.md for the architecture and
+/// examples/quickstart.cpp for a first program.
 
 #include "core/core_approx.h"             // IWYU pragma: export
 #include "core/xy_core.h"                 // IWYU pragma: export
 #include "core/xy_core_decomposition.h"   // IWYU pragma: export
+#include "dds/batch_peel_approx.h"        // IWYU pragma: export
 #include "dds/control.h"                  // IWYU pragma: export
 #include "dds/core_exact.h"               // IWYU pragma: export
 #include "dds/density.h"                  // IWYU pragma: export
@@ -23,7 +24,6 @@
 #include "dds/peel_approx.h"              // IWYU pragma: export
 #include "dds/result.h"                   // IWYU pragma: export
 #include "dds/solver.h"                   // IWYU pragma: export
-#include "dds/weighted_dds.h"             // IWYU pragma: export
 #include "graph/degree.h"                 // IWYU pragma: export
 #include "graph/digraph.h"                // IWYU pragma: export
 #include "graph/digraph_builder.h"        // IWYU pragma: export

@@ -7,8 +7,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <thread>
 #include <cstring>
+#include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "graph/io.h"
@@ -17,34 +18,25 @@
 
 namespace ddsgraph {
 
-CatalogEntry::CatalogEntry(std::string name, Digraph graph,
+CatalogEntry::CatalogEntry(std::string name, LiveGraph graph,
                            std::vector<uint64_t> labels)
     : name_(std::move(name)),
-      weighted_(false),
       labels_(std::move(labels)),
-      dyn_(std::make_unique<DynamicDigraph>(std::move(graph))),
-      wdyn_(nullptr) {}
-
-CatalogEntry::CatalogEntry(std::string name, WeightedDigraph graph,
-                           std::vector<uint64_t> labels)
-    : name_(std::move(name)),
-      weighted_(true),
-      labels_(std::move(labels)),
-      dyn_(nullptr),
-      wdyn_(std::make_unique<DynamicWeightedDigraph>(std::move(graph))) {}
+      graph_(std::move(graph)) {}
 
 uint32_t CatalogEntry::num_vertices() const {
   std::lock_guard<std::timed_mutex> lock(mu_);
-  return weighted_ ? wdyn_->NumVertices() : dyn_->NumVertices();
+  return VisitGraph([](const auto& g) { return g.NumVertices(); });
 }
 
 int64_t CatalogEntry::num_edges() const {
   std::lock_guard<std::timed_mutex> lock(mu_);
-  return weighted_ ? wdyn_->NumEdges() : dyn_->NumEdges();
+  return VisitGraph([](const auto& g) { return g.NumEdges(); });
 }
 
 int64_t CatalogEntry::VersionLocked() const {
-  return version_base_ + (weighted_ ? wdyn_->version() : dyn_->version());
+  return version_base_ +
+         VisitGraph([](const auto& g) { return g.version(); });
 }
 
 int64_t CatalogEntry::version() const {
@@ -56,13 +48,10 @@ void CatalogEntry::SyncEngineLocked() const {
   // Solves run on an immutable CSR: fold any buffered updates first.
   // Snapshot() is free when the overlay is clean, so never-updated
   // entries pay nothing here.
-  if (weighted_) {
-    wdyn_->Snapshot();
-  } else {
-    dyn_->Snapshot();
-  }
-  const int64_t compactions =
-      weighted_ ? wdyn_->compactions() : dyn_->compactions();
+  const int64_t compactions = VisitGraph([](auto& g) {
+    g.Snapshot();
+    return g.compactions();
+  });
   if (engine_ != nullptr && engine_epoch_ == compactions) return;
   if (engine_ != nullptr) {
     // The CSR was rebuilt under the engine: its ProbeWorkspace is bound
@@ -70,8 +59,8 @@ void CatalogEntry::SyncEngineLocked() const {
     solves_before_engine_ += engine_->num_solves();
     ++engine_rebuilds_;
   }
-  engine_ = weighted_ ? std::make_unique<DdsEngine>(wdyn_->base())
-                      : std::make_unique<DdsEngine>(dyn_->base());
+  engine_ = VisitGraph(
+      [](const auto& g) { return std::make_unique<DdsEngine>(g.base()); });
   engine_epoch_ = compactions;
 }
 
@@ -91,17 +80,23 @@ Result<CatalogEntry::UpdateResult> CatalogEntry::ApplyEdgeBatch(
         "' was loaded with a label mapping; updates need identity vertex "
         "ids (reload the graph without labels to stream into it)");
   }
-  for (const EdgeOp& op : batch) {
-    if (op.kind != EdgeOp::Kind::kInsert) continue;
-    if (!weighted_ && op.weight != 1) {
-      return Status::InvalidArgument(
-          "graph '" + name_ + "' is unweighted; insert weights must be 1");
+  // Type-only visit (the flavor is fixed), so no lock is needed yet.
+  RETURN_IF_ERROR(VisitGraph([&](const auto& g) {
+    for (const EdgeOp& op : batch) {
+      if (op.kind != EdgeOp::Kind::kInsert) continue;
+      if constexpr (std::decay_t<decltype(g)>::kWeighted) {
+        if (op.weight < 1) {
+          return Status::InvalidArgument(
+              "insert weights must be >= 1 on weighted graph '" + name_ +
+              "'");
+        }
+      } else if (op.weight != 1) {
+        return Status::InvalidArgument(
+            "graph '" + name_ + "' is unweighted; insert weights must be 1");
+      }
     }
-    if (weighted_ && op.weight < 1) {
-      return Status::InvalidArgument(
-          "insert weights must be >= 1 on weighted graph '" + name_ + "'");
-    }
-  }
+    return Status::Ok();
+  }));
   // Bounded entry acquisition: a solve or compaction can hold the entry
   // for seconds, and the serve path calls this from a connection reader
   // thread — better to tell the client "busy, retry" than to wedge its
@@ -142,15 +137,11 @@ Result<CatalogEntry::UpdateResult> CatalogEntry::ApplyEdgeBatch(
     RETURN_IF_ERROR(wal_->Append(next_version, batch));
   }
   UpdateResult result;
-  if (weighted_) {
-    result.applied = wdyn_->ApplyBatch(batch);
-    result.num_vertices = wdyn_->NumVertices();
-    result.num_edges = wdyn_->NumEdges();
-  } else {
-    result.applied = dyn_->ApplyBatch(batch);
-    result.num_vertices = dyn_->NumVertices();
-    result.num_edges = dyn_->NumEdges();
-  }
+  VisitGraph([&](auto& g) {
+    result.applied = g.ApplyBatch(batch);
+    result.num_vertices = g.NumVertices();
+    result.num_edges = g.NumEdges();
+  });
   result.version = VersionLocked();
   CHECK(result.version == next_version);
   if (DDS_FAILPOINT("apply:before_publish")) {
@@ -175,34 +166,19 @@ Result<CatalogEntry::UpdateResult> CatalogEntry::ApplyEdgeBatch(
 
 GraphSnapshot CatalogEntry::BuildSnapshotLocked() {
   GraphSnapshot snapshot;
-  snapshot.weighted = weighted_;
   snapshot.labels = labels_;
-  if (weighted_) {
-    wdyn_->Snapshot();
-    const WeightedDigraph& g = wdyn_->base();
+  VisitGraph([&](auto& dyn) {
+    dyn.Snapshot();
+    const auto& g = dyn.base();
     snapshot.num_vertices = g.NumVertices();
-    snapshot.version = VersionLocked();
-    snapshot.weighted_edges.reserve(static_cast<size_t>(g.NumEdges()));
-    for (VertexId u = 0; u < g.NumVertices(); ++u) {
-      const auto targets = g.OutNeighbors(u);
-      const auto weights = g.OutWeights(u);
-      for (size_t k = 0; k < targets.size(); ++k) {
-        snapshot.weighted_edges.push_back(
-            WeightedEdge{u, targets[k], weights[k]});
-      }
+    if constexpr (std::decay_t<decltype(g)>::kWeighted) {
+      snapshot.weighted = true;
+      snapshot.weighted_edges = g.EdgeList();
+    } else {
+      snapshot.edges = g.EdgeList();
     }
-  } else {
-    dyn_->Snapshot();
-    const Digraph& g = dyn_->base();
-    snapshot.num_vertices = g.NumVertices();
-    snapshot.version = VersionLocked();
-    snapshot.edges.reserve(static_cast<size_t>(g.NumEdges()));
-    for (VertexId u = 0; u < g.NumVertices(); ++u) {
-      for (const VertexId v : g.OutNeighbors(u)) {
-        snapshot.edges.emplace_back(u, v);
-      }
-    }
-  }
+  });
+  snapshot.version = VersionLocked();
   return snapshot;
 }
 
@@ -305,18 +281,15 @@ Status GraphCatalog::RecoverGraph(const std::string& name) {
   Result<GraphSnapshot> loaded = LoadGraphSnapshot(snap_path);
   if (!loaded.ok()) return loaded.status();
   GraphSnapshot& snap = loaded.value();
-  std::unique_ptr<CatalogEntry> entry;
-  if (snap.weighted) {
-    entry.reset(new CatalogEntry(
-        name,
-        WeightedDigraph::FromEdges(snap.num_vertices,
-                                   std::move(snap.weighted_edges)),
-        std::move(snap.labels)));
-  } else {
-    entry.reset(new CatalogEntry(
-        name, Digraph::FromEdges(snap.num_vertices, std::move(snap.edges)),
-        std::move(snap.labels)));
-  }
+  std::unique_ptr<CatalogEntry> entry(new CatalogEntry(
+      name,
+      snap.weighted
+          ? CatalogEntry::LiveGraph(DynamicWeightedDigraph(
+                WeightedDigraph::FromEdges(snap.num_vertices,
+                                           std::move(snap.weighted_edges))))
+          : CatalogEntry::LiveGraph(DynamicDigraph(Digraph::FromEdges(
+                snap.num_vertices, std::move(snap.edges)))),
+      std::move(snap.labels)));
   entry->version_base_ = snap.version;
   entry->snapshot_path_ = snap_path;
   entry->checkpoint_bytes_ = persist_.checkpoint_bytes;
@@ -339,11 +312,7 @@ Status GraphCatalog::RecoverGraph(const std::string& name) {
     // Replay through the same overlay path a live update takes, so a
     // recovered entry's solves are bit-identical to the never-crashed
     // entry's (the overlay-vs-rebuild identity of DESIGN.md §14).
-    if (entry->weighted_) {
-      entry->wdyn_->ApplyBatch(record.batch);
-    } else {
-      entry->dyn_->ApplyBatch(record.batch);
-    }
+    entry->VisitGraph([&](auto& g) { g.ApplyBatch(record.batch); });
     version = record.version;
   }
   entry->wal_ = std::move(log).value();
@@ -377,8 +346,8 @@ Status GraphCatalog::LoadGraph(const std::string& name,
   if (!loaded.ok()) return loaded.status();
   LoadedAnyGraph& any = loaded.value();
   if (weighted) {
-    return AddWeightedGraph(name, std::move(any.weighted_graph),
-                            std::move(any.labels));
+    return AddGraph(name, std::move(any.weighted_graph),
+                    std::move(any.labels));
   }
   return AddGraph(name, std::move(any.graph), std::move(any.labels));
 }
@@ -386,14 +355,15 @@ Status GraphCatalog::LoadGraph(const std::string& name,
 Status GraphCatalog::AddGraph(const std::string& name, Digraph graph,
                               std::vector<uint64_t> labels) {
   return Insert(name, std::unique_ptr<CatalogEntry>(new CatalogEntry(
-                          name, std::move(graph), std::move(labels))));
+                          name, DynamicDigraph(std::move(graph)),
+                          std::move(labels))));
 }
 
-Status GraphCatalog::AddWeightedGraph(const std::string& name,
-                                      WeightedDigraph graph,
-                                      std::vector<uint64_t> labels) {
+Status GraphCatalog::AddGraph(const std::string& name, WeightedDigraph graph,
+                              std::vector<uint64_t> labels) {
   return Insert(name, std::unique_ptr<CatalogEntry>(new CatalogEntry(
-                          name, std::move(graph), std::move(labels))));
+                          name, DynamicWeightedDigraph(std::move(graph)),
+                          std::move(labels))));
 }
 
 Status GraphCatalog::Insert(const std::string& name,

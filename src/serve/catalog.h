@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "dds/engine.h"
@@ -71,7 +72,9 @@ class CatalogEntry {
   };
 
   const std::string& name() const { return name_; }
-  bool weighted() const { return weighted_; }
+  bool weighted() const {
+    return std::holds_alternative<DynamicWeightedDigraph>(graph_);
+  }
   /// Dense-id → original-file-label mapping (empty when identity).
   const std::vector<uint64_t>& labels() const { return labels_; }
   uint32_t num_vertices() const;
@@ -144,10 +147,19 @@ class CatalogEntry {
 
  private:
   friend class GraphCatalog;
-  CatalogEntry(std::string name, Digraph graph,
+  /// The live overlay, in the weight flavor the graph entered with.
+  using LiveGraph = std::variant<DynamicDigraph, DynamicWeightedDigraph>;
+
+  CatalogEntry(std::string name, LiveGraph graph,
                std::vector<uint64_t> labels);
-  CatalogEntry(std::string name, WeightedDigraph graph,
-               std::vector<uint64_t> labels);
+
+  /// The entry's one weight dispatch: calls `f` (a generic lambda) on the
+  /// live overlay. Requires mu_ held unless `f` only inspects the type —
+  /// the alternative is fixed at construction.
+  template <typename F>
+  decltype(auto) VisitGraph(F&& f) const {
+    return std::visit(std::forward<F>(f), graph_);
+  }
 
   /// Compacts the overlay and (re)creates engine_ over the fresh CSR when
   /// needed. Requires mu_ held.
@@ -161,15 +173,12 @@ class CatalogEntry {
   GraphSnapshot BuildSnapshotLocked();
 
   const std::string name_;
-  const bool weighted_;
   const std::vector<uint64_t> labels_;
 
   mutable std::timed_mutex mu_;  ///< guards everything below
-  // Exactly one of the two overlays is populated; the engine points at
-  // its base CSR, so the entry is pinned in memory (held by unique_ptr in
-  // the catalog).
-  const std::unique_ptr<DynamicDigraph> dyn_;
-  const std::unique_ptr<DynamicWeightedDigraph> wdyn_;
+  // The engine points at the overlay's base CSR, so the entry is pinned
+  // in memory (held by unique_ptr in the catalog).
+  mutable LiveGraph graph_;
   mutable std::unique_ptr<DdsEngine> engine_;
   /// Overlay compaction count the engine was built against; a mismatch
   /// means the CSR was rebuilt and the engine must be too.
@@ -229,11 +238,12 @@ class GraphCatalog {
   Status LoadGraph(const std::string& name, const std::string& path,
                    bool weighted);
 
-  /// Registers a pre-built graph (tests, benchmarks, generated demos).
+  /// Registers a pre-built graph (tests, benchmarks, generated demos);
+  /// the overload picks the entry's weight flavor.
   Status AddGraph(const std::string& name, Digraph graph,
                   std::vector<uint64_t> labels = {});
-  Status AddWeightedGraph(const std::string& name, WeightedDigraph graph,
-                          std::vector<uint64_t> labels = {});
+  Status AddGraph(const std::string& name, WeightedDigraph graph,
+                  std::vector<uint64_t> labels = {});
 
   /// Lookup by name; nullptr when absent. Safe only once population is
   /// done (see the file comment).

@@ -17,8 +17,7 @@ RequestScheduler::RequestScheduler(const GraphCatalog* catalog,
                  ? std::make_unique<ResponseCache>(ResponseCacheOptions{
                        options.cache_bytes,
                        options.cache_eviction_window_s})
-                 : nullptr),
-      pool_(options.workers) {
+                 : nullptr) {
   CHECK(catalog != nullptr);
   CHECK(options.workers >= 1)
       << "scheduler needs >= 1 worker, got " << options.workers;
@@ -36,11 +35,10 @@ void RequestScheduler::Start() {
     CHECK(!started_) << "RequestScheduler::Start called twice";
     started_ = true;
   }
-  // The pump thread is pool worker 0; the pool spawns workers-1 more, so
-  // exactly options_.workers threads run WorkerLoop concurrently.
-  pump_ = std::thread([this] {
-    pool_.RunOnAllWorkers([this](int) { WorkerLoop(); });
-  });
+  workers_.reserve(static_cast<size_t>(options_.workers));
+  for (int i = 0; i < options_.workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 Status RequestScheduler::Submit(ServeRequest request, ServeCallback done) {
@@ -249,7 +247,9 @@ void RequestScheduler::Stop() {
     stopping_ = true;
   }
   work_cv_.notify_all();
-  if (pump_.joinable()) pump_.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 }
 
 int64_t RequestScheduler::InvalidateGraph(const std::string& graph) {

@@ -15,16 +15,15 @@
 #include "serve/catalog.h"
 #include "serve/response_cache.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 /// \file
 /// The serving daemon's request scheduler (DESIGN.md §13, §15).
 ///
-/// A bounded admission queue feeding the existing `ThreadPool`: `workers`
-/// pool workers loop over the queue, each popped request solves on its
-/// catalog entry's hot engine (serialized per entry by the entry mutex),
-/// and the completion callback fires from the worker thread. The queue
+/// A bounded admission queue drained by `workers` plain threads: each
+/// popped request solves on its catalog entry's hot engine (serialized
+/// per entry by the entry mutex), and the completion callback fires from
+/// the worker thread. The queue
 /// bound is the backpressure mechanism — `Submit` on a full queue returns
 /// `kUnavailable` immediately instead of stalling the caller, so an
 /// overloaded server degrades into fast rejections rather than unbounded
@@ -107,7 +106,7 @@ struct ServeResponse {
 using ServeCallback = std::function<void(ServeResponse)>;
 
 struct SchedulerOptions {
-  /// Pool workers that pull from the queue (>= 1).
+  /// Worker threads that pull from the queue (>= 1).
   int workers = 2;
   /// Max requests admitted-but-not-yet-picked-up (>= 1). Beyond it,
   /// Submit rejects with kUnavailable. Coalesced waiters don't occupy
@@ -133,7 +132,7 @@ class RequestScheduler {
   RequestScheduler(const RequestScheduler&) = delete;
   RequestScheduler& operator=(const RequestScheduler&) = delete;
 
-  /// Starts the worker pool. Must be called once before Submit.
+  /// Starts the worker threads. Must be called once before Submit.
   void Start();
 
   /// Admission control. Validates cheaply (known graph, well-formed
@@ -215,8 +214,6 @@ class RequestScheduler {
   const GraphCatalog* const catalog_;
   const SchedulerOptions options_;
   const std::unique_ptr<ResponseCache> cache_;  ///< null when disabled
-  ThreadPool pool_;
-  std::thread pump_;  ///< runs pool_.RunOnAllWorkers(WorkerLoop)
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers wait for queue/stop
@@ -234,6 +231,8 @@ class RequestScheduler {
   int64_t coalesced_ = 0;             ///< guarded by mu_
   int64_t batches_ = 0;               ///< guarded by mu_
   int64_t batched_ = 0;               ///< guarded by mu_
+  /// Each runs WorkerLoop; declared last, after everything they use.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace ddsgraph

@@ -8,6 +8,27 @@
 #include "util/logging.h"
 
 namespace ddsgraph {
+namespace {
+
+// The weighted flag is an expectation check, not a selector: a catalog
+// name maps to one graph loaded in one flavor, and a client that asks for
+// the other flavor should learn so instead of silently getting densities
+// under a different objective. Ok when the flag is absent or the graph is
+// unknown (the caller reports that itself).
+Status CheckWeightedExpectation(const WireRequest& wire,
+                                const CatalogEntry* entry) {
+  if (!wire.weighted.has_value() || entry == nullptr ||
+      entry->weighted() == *wire.weighted) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "graph '" + wire.graph + "' is loaded " +
+      (entry->weighted() ? "weighted" : "unweighted") +
+      " but the request says weighted=" +
+      (*wire.weighted ? "true" : "false"));
+}
+
+}  // namespace
 
 DdsServer::DdsServer(GraphCatalog* catalog, ServerOptions options)
     : catalog_(catalog),
@@ -130,24 +151,11 @@ void DdsServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  // The weighted flag is an expectation check, not a selector: a catalog
-  // name maps to one graph loaded in one flavor, and a client that asks
-  // for the other flavor should learn so instead of silently getting
-  // densities under a different objective.
-  if (wire.weighted.has_value()) {
-    const CatalogEntry* entry = catalog_->Find(wire.graph);
-    if (entry != nullptr && entry->weighted() != *wire.weighted) {
-      WriteResponse(
-          conn,
-          ErrorResponseJson(
-              wire.id_raw,
-              Status::InvalidArgument(
-                  "graph '" + wire.graph + "' is loaded " +
-                  (entry->weighted() ? "weighted" : "unweighted") +
-                  " but the request says weighted=" +
-                  (*wire.weighted ? "true" : "false"))));
-      return;
-    }
+  const Status expected =
+      CheckWeightedExpectation(wire, catalog_->Find(wire.graph));
+  if (!expected.ok()) {
+    WriteResponse(conn, ErrorResponseJson(wire.id_raw, expected));
+    return;
   }
 
   const Status admitted = scheduler_.Submit(
@@ -183,16 +191,9 @@ void DdsServer::HandleUpdate(const std::shared_ptr<Connection>& conn,
                                        "' in the catalog")));
     return;
   }
-  if (wire.weighted.has_value() && entry->weighted() != *wire.weighted) {
-    WriteResponse(
-        conn,
-        ErrorResponseJson(
-            wire.id_raw,
-            Status::InvalidArgument(
-                "graph '" + wire.graph + "' is loaded " +
-                (entry->weighted() ? "weighted" : "unweighted") +
-                " but the request says weighted=" +
-                (*wire.weighted ? "true" : "false"))));
+  const Status expected = CheckWeightedExpectation(wire, entry);
+  if (!expected.ok()) {
+    WriteResponse(conn, ErrorResponseJson(wire.id_raw, expected));
     return;
   }
   Result<EdgeBatch> batch = ParseEdgeOps(wire.edges);

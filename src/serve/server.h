@@ -21,7 +21,7 @@
 /// JSON protocol of serve/protocol.h, and turns each request frame into a
 /// scheduler submission whose completion callback writes the response
 /// frame. One OS thread per connection does the (blocking) frame reads;
-/// all solving happens on the scheduler's pool, so a slow solve never
+/// all solving happens on the scheduler's workers, so a slow solve never
 /// stalls other connections' admissions.
 ///
 /// Error handling at the edge: a malformed JSON payload gets an error

@@ -16,8 +16,10 @@
 ///   LOG(INFO) << "loaded " << n << " vertices";
 ///   CHECK_GT(capacity, 0.0) << "capacities must be positive";
 ///
-/// Verbosity is controlled globally with `SetLogThreshold`; messages below
-/// the threshold are formatted lazily (the stream body is never evaluated).
+/// Verbosity is controlled globally with `SetLogThreshold`. The threshold
+/// is applied when a message is emitted, so a message below it is still
+/// formatted (its stream body is evaluated) and then dropped; keep LOG out
+/// of hot loops.
 
 namespace ddsgraph {
 

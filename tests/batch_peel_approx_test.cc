@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dds/density.h"
 #include "dds/naive_exact.h"
-#include "dds/weighted_dds.h"
 #include "graph/generators.h"
 #include "util/random.h"
 
@@ -127,7 +127,7 @@ TEST_P(WeightedBatchPeelGuaranteeTest, CertifiedBracketHolds) {
                 UniformDigraph(9, 26, static_cast<uint64_t>(seed) + 17),
                 static_cast<uint64_t>(seed) + 29, weights);
   if (g.TotalWeight() == 0) return;
-  const DdsSolution exact = WeightedNaiveExact(g);
+  const DdsSolution exact = NaiveExact(g);
   const DdsSolution approx = BatchPeelApprox(g);
   EXPECT_LE(exact.density, approx.upper_bound + 1e-9)
       << "seed " << seed << " dist " << dist;

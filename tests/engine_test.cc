@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "dds/density.h"
 #include "dds/naive_exact.h"
 #include "dds/solver.h"
-#include "dds/weighted_dds.h"
 #include "graph/generators.h"
 #include "util/random.h"
 
@@ -48,11 +48,7 @@ TEST(RegistryTest, CoversEveryAlgorithmExactlyOnce) {
     ASSERT_TRUE(parsed.has_value()) << info.name;
     EXPECT_EQ(*parsed, info.algorithm);
     EXPECT_EQ(IsExactAlgorithm(info.algorithm), info.exact);
-    EXPECT_EQ(IsWeightedCapableAlgorithm(info.algorithm),
-              info.weighted_capable);
-    // Runner invariants: one weight-dispatched runner per row;
-    // workspace-using (anytime-capable) rows are exact solvers.
-    EXPECT_NE(info.run, nullptr) << info.name;
+    // Workspace-using (anytime-capable) rows are exact solvers.
     if (info.uses_workspace) {
       EXPECT_TRUE(info.exact) << info.name;
     }
@@ -66,22 +62,11 @@ TEST(RegistryTest, HelpStringListsEveryName) {
   for (const AlgorithmInfo& info : AlgorithmRegistry()) {
     EXPECT_NE(help.find(info.name), std::string::npos) << info.name;
   }
-  // Every algorithm is weight-generic now: the weighted help is the full
-  // list, derived from the same rows (the CLI --algo help can't go stale).
-  const std::string weighted_help =
-      AlgorithmNamesHelp(/*weighted_only=*/true);
-  EXPECT_EQ(weighted_help, help);
-  EXPECT_NE(weighted_help.find("peel-approx"), std::string::npos);
-  EXPECT_NE(weighted_help.find("batch-peel-approx"), std::string::npos);
-  EXPECT_NE(weighted_help.find("lp-exact"), std::string::npos);
-}
-
-TEST(RegistryTest, EveryRowIsWeightedCapable) {
-  // The acceptance bar of the weight-generic approximation pipeline:
-  // zero weighted_capable=false rows remain.
-  for (const AlgorithmInfo& info : AlgorithmRegistry()) {
-    EXPECT_TRUE(info.weighted_capable) << info.name;
-  }
+  // Every algorithm is weight-generic, so the one help string also serves
+  // weighted engines (the CLI --algo help can't go stale).
+  EXPECT_NE(help.find("peel-approx"), std::string::npos);
+  EXPECT_NE(help.find("batch-peel-approx"), std::string::npos);
+  EXPECT_NE(help.find("lp-exact"), std::string::npos);
 }
 
 // ----------------------------------------------------------------- engine
@@ -94,7 +79,7 @@ TEST(DdsEngineTest, AllAlgorithmsReachableAndAgreeWithFreeFunctions) {
     request.algorithm = info.algorithm;
     const Result<DdsSolution> via_engine = engine.Solve(request);
     ASSERT_TRUE(via_engine.ok()) << info.name;
-    const DdsSolution direct = RunDdsAlgorithm(g, info.algorithm);
+    const DdsSolution direct = DdsEngine(g).Solve(request).value();
     EXPECT_EQ(via_engine.value().density, direct.density) << info.name;
     EXPECT_EQ(via_engine.value().pair.s, direct.pair.s) << info.name;
     EXPECT_EQ(via_engine.value().pair.t, direct.pair.t) << info.name;
@@ -142,7 +127,7 @@ TEST(DdsEngineTest, WeightedFacadeMatchesDirectSolvers) {
     DdsRequest request;
     request.algorithm = DdsAlgorithm::kCoreExact;
     const DdsSolution via_engine = engine.Solve(request).value();
-    const DdsSolution direct = WeightedCoreExact(g);
+    const DdsSolution direct = SolveExactDds(g, ExactOptions{});
     ExpectSameSolution(via_engine, direct);
 
     request.algorithm = DdsAlgorithm::kNaiveExact;
@@ -161,7 +146,7 @@ TEST(DdsEngineTest, WeightedEngineServesTheFullRegistry) {
   // and solves on a weighted engine, and approximations report certified
   // brackets of the weighted optimum.
   const WeightedDigraph g = RandomWeighted(8, 20, 3, 1);
-  const double optimum = WeightedNaiveExact(g).density;
+  const double optimum = NaiveExact(g).density;
   DdsEngine engine(g);
   for (const AlgorithmInfo& info : AlgorithmRegistry()) {
     DdsRequest request;
@@ -175,7 +160,7 @@ TEST(DdsEngineTest, WeightedEngineServesTheFullRegistry) {
       EXPECT_LE(sol.density, optimum + 1e-9) << info.name;
       EXPECT_GE(sol.upper_bound + 1e-9, optimum) << info.name;
     }
-    EXPECT_NEAR(sol.density, WeightedDensity(g, sol.pair.s, sol.pair.t),
+    EXPECT_NEAR(sol.density, PairDensity(g, sol.pair.s, sol.pair.t),
                 1e-12)
         << info.name;
   }
@@ -442,7 +427,7 @@ TEST(AnytimeTest, WeightedDeadlineTruncationIsCertified) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     const WeightedDigraph g = RandomWeighted(11, 40, 4, seed);
     if (g.TotalWeight() == 0) continue;
-    const double optimum = WeightedNaiveExact(g).density;
+    const double optimum = NaiveExact(g).density;
     DdsEngine engine(g);
     DdsRequest request;
     request.algorithm = DdsAlgorithm::kCoreExact;

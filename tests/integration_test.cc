@@ -41,11 +41,16 @@ TEST_P(FamilyIntegrationTest, AllSolversAreConsistent) {
   const Digraph g = MakeFamilyGraph(family, static_cast<uint64_t>(seed));
   ASSERT_GT(g.NumEdges(), 0);
 
-  const DdsSolution exact = RunDdsAlgorithm(g, DdsAlgorithm::kCoreExact);
-  const DdsSolution dc = RunDdsAlgorithm(g, DdsAlgorithm::kDcExact);
-  const DdsSolution core_approx =
-      RunDdsAlgorithm(g, DdsAlgorithm::kCoreApprox);
-  const DdsSolution peel = RunDdsAlgorithm(g, DdsAlgorithm::kPeelApprox);
+  DdsEngine engine(g);
+  auto solve = [&engine](DdsAlgorithm algorithm) {
+    DdsRequest request;
+    request.algorithm = algorithm;
+    return engine.Solve(request).value();
+  };
+  const DdsSolution exact = solve(DdsAlgorithm::kCoreExact);
+  const DdsSolution dc = solve(DdsAlgorithm::kDcExact);
+  const DdsSolution core_approx = solve(DdsAlgorithm::kCoreApprox);
+  const DdsSolution peel = solve(DdsAlgorithm::kPeelApprox);
 
   // Exact solvers agree.
   EXPECT_NEAR(exact.density, dc.density, 1e-6);
@@ -74,8 +79,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(IntegrationTest, WeightedAndUnweightedPipelinesAgreeOnUnitWeights) {
   const Digraph g = RmatDigraph(5, 150, 3);
   const WeightedDigraph wg = WeightedDigraph::FromDigraph(g);
-  EXPECT_NEAR(CoreExact(g).density, WeightedCoreExact(wg).density, 1e-6);
-  EXPECT_NEAR(CoreApprox(g).density, WeightedCoreApprox(wg).density, 1e-9);
+  EXPECT_NEAR(CoreExact(g).density,
+              SolveExactDds(wg, ExactOptions{}).density, 1e-6);
+  EXPECT_NEAR(CoreApprox(g).density, CoreApprox(wg).density, 1e-9);
 }
 
 TEST(IntegrationTest, SnapRoundTripPreservesSolverOutput) {

@@ -15,7 +15,6 @@
 #include "dds/engine.h"
 #include "dds/naive_exact.h"
 #include "dds/peel_approx.h"
-#include "dds/weighted_dds.h"
 #include "graph/generators.h"
 #include "util/thread_pool.h"
 

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dds/density.h"
 #include "dds/naive_exact.h"
-#include "dds/weighted_dds.h"
 #include "graph/generators.h"
 #include "util/random.h"
 
@@ -139,7 +139,7 @@ TEST_P(WeightedPeelGuaranteeTest, CertifiedBracketHoldsOnWeightedGraphs) {
                 UniformDigraph(9, 26, static_cast<uint64_t>(seed) + 3),
                 static_cast<uint64_t>(seed) + 11, weights);
   if (g.TotalWeight() == 0) return;
-  const DdsSolution exact = WeightedNaiveExact(g);
+  const DdsSolution exact = NaiveExact(g);
   PeelApproxOptions options;
   options.epsilon = 0.1;
   const DdsSolution approx = PeelApprox(g, options);

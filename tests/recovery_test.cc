@@ -171,7 +171,7 @@ TEST_F(RecoveryTest, WeightedEntryRecoversTooAndKeepsItsFlavor) {
     GraphCatalog catalog;
     ASSERT_TRUE(catalog.EnablePersistence(PersistAt(dir)).ok());
     ASSERT_TRUE(catalog
-                    .AddWeightedGraph(
+                    .AddGraph(
                         "w", UniformWeightedDigraph(20, 60, 5,
                                                     WeightOptions{}))
                     .ok());

@@ -361,7 +361,7 @@ class ServeServerTest : public ::testing::Test {
     uni_ = UniformDigraph(60, 300, 3);
     wuni_ = UniformWeightedDigraph(50, 250, 7, WeightOptions{});
     ASSERT_TRUE(catalog_.AddGraph("uni", uni_).ok());
-    ASSERT_TRUE(catalog_.AddWeightedGraph("wuni", wuni_).ok());
+    ASSERT_TRUE(catalog_.AddGraph("wuni", wuni_).ok());
   }
 
   // Expected wire slice for (graph, algo), from a direct engine.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dds/engine.h"
 #include "graph/generators.h"
 
 namespace ddsgraph {
@@ -33,9 +34,12 @@ TEST(SolverTest, ExactFlagMatchesSemantics) {
 
 TEST(SolverTest, AllAlgorithmsRunOnSmallGraph) {
   const Digraph g = UniformDigraph(8, 25, 3);
+  DdsEngine engine(g);
   double exact_density = -1;
   for (DdsAlgorithm algorithm : kAllAlgorithms) {
-    const DdsSolution sol = RunDdsAlgorithm(g, algorithm);
+    DdsRequest request;
+    request.algorithm = algorithm;
+    const DdsSolution sol = engine.Solve(request).value();
     EXPECT_GT(sol.density, 0.0) << AlgorithmName(algorithm);
     EXPECT_NEAR(sol.density, DirectedDensity(g, sol.pair), 1e-9)
         << AlgorithmName(algorithm);
@@ -58,7 +62,10 @@ TEST(SolverTest, AllAlgorithmsRunOnSmallGraph) {
 
 TEST(SolverTest, SummaryMentionsKeyFields) {
   const Digraph g = UniformDigraph(10, 30, 4);
-  const DdsSolution sol = RunDdsAlgorithm(g, DdsAlgorithm::kCoreApprox);
+  DdsEngine engine(g);
+  DdsRequest request;
+  request.algorithm = DdsAlgorithm::kCoreApprox;
+  const DdsSolution sol = engine.Solve(request).value();
   const std::string summary = SolutionSummary(sol);
   EXPECT_NE(summary.find("rho="), std::string::npos);
   EXPECT_NE(summary.find("|S|="), std::string::npos);

@@ -32,7 +32,7 @@ class StreamServeTest : public ::testing::Test {
     uni_ = UniformDigraph(40, 160, 3);
     wuni_ = UniformWeightedDigraph(30, 120, 7, WeightOptions{});
     ASSERT_TRUE(catalog_.AddGraph("uni", uni_).ok());
-    ASSERT_TRUE(catalog_.AddWeightedGraph("wuni", wuni_).ok());
+    ASSERT_TRUE(catalog_.AddGraph("wuni", wuni_).ok());
   }
 
   // Starts the server and connects one client.

@@ -1,5 +1,3 @@
-#include "dds/weighted_dds.h"
-
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -8,6 +6,7 @@
 #include "core/xy_core.h"
 #include "core/xy_core_decomposition.h"
 #include "dds/core_exact.h"
+#include "dds/density.h"
 #include "dds/lp_exact.h"
 #include "dds/naive_exact.h"
 #include "graph/generators.h"
@@ -28,9 +27,9 @@ WeightedDigraph RandomWeighted(uint32_t n, int64_t arcs, int64_t max_w,
 TEST(WeightedDensityTest, MatchesManualComputation) {
   const WeightedDigraph g =
       WeightedDigraph::FromEdges(3, {{0, 1, 3}, {0, 2, 5}, {1, 2, 2}});
-  EXPECT_EQ(WeightedPairWeight(g, {0}, {1, 2}), 8);
-  EXPECT_NEAR(WeightedDensity(g, {0}, {1, 2}), 8.0 / std::sqrt(2.0), 1e-12);
-  EXPECT_EQ(WeightedDensity(g, {}, {1}), 0.0);
+  EXPECT_EQ(PairWeight(g, {0}, {1, 2}), 8);
+  EXPECT_NEAR(PairDensity(g, {0}, {1, 2}), 8.0 / std::sqrt(2.0), 1e-12);
+  EXPECT_EQ(PairDensity(g, {}, {1}), 0.0);
 }
 
 TEST(WeightedXyCoreTest, UnitWeightsMatchUnweightedCore) {
@@ -87,7 +86,7 @@ TEST(WeightedCoreApproxTest, UnitWeightsMatchUnweighted) {
   for (uint64_t seed = 0; seed < 6; ++seed) {
     const Digraph base = RmatDigraph(6, 300, seed);
     const WeightedDigraph g = WeightedDigraph::FromDigraph(base);
-    const WeightedCoreApproxResult weighted = WeightedCoreApprox(g);
+    const CoreApproxResult weighted = CoreApprox(g);
     const CoreApproxResult plain = CoreApprox(base);
     EXPECT_EQ(weighted.best_x * weighted.best_y,
               plain.best_x * plain.best_y)
@@ -101,7 +100,7 @@ TEST(WeightedNaiveExactTest, SimpleWeightedStar) {
   // ({0},{1,2}) with 10/sqrt(2) ~ 7.07.
   const WeightedDigraph g =
       WeightedDigraph::FromEdges(3, {{0, 1, 9}, {0, 2, 1}});
-  const DdsSolution sol = WeightedNaiveExact(g);
+  const DdsSolution sol = NaiveExact(g);
   EXPECT_NEAR(sol.density, 9.0, 1e-12);
   EXPECT_EQ(sol.pair.t, (std::vector<VertexId>{1}));
 }
@@ -110,7 +109,7 @@ TEST(WeightedNaiveExactTest, UnitWeightsMatchUnweighted) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     const Digraph base = UniformDigraph(7, 20, seed);
     const WeightedDigraph g = WeightedDigraph::FromDigraph(base);
-    EXPECT_NEAR(WeightedNaiveExact(g).density, NaiveExact(base).density,
+    EXPECT_NEAR(NaiveExact(g).density, NaiveExact(base).density,
                 1e-12)
         << "seed " << seed;
   }
@@ -123,10 +122,10 @@ TEST_P(WeightedExactTest, CoreExactMatchesNaive) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   const WeightedDigraph g = RandomWeighted(8, 26, 5, seed);
   if (g.TotalWeight() == 0) return;
-  const DdsSolution naive = WeightedNaiveExact(g);
-  const DdsSolution core = WeightedCoreExact(g);
+  const DdsSolution naive = NaiveExact(g);
+  const DdsSolution core = SolveExactDds(g, ExactOptions{});
   EXPECT_NEAR(core.density, naive.density, 1e-6) << "seed " << seed;
-  EXPECT_NEAR(core.density, WeightedDensity(g, core.pair.s, core.pair.t),
+  EXPECT_NEAR(core.density, PairDensity(g, core.pair.s, core.pair.t),
               1e-12);
 }
 
@@ -134,8 +133,8 @@ TEST_P(WeightedExactTest, ApproxGuaranteeHolds) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   const WeightedDigraph g = RandomWeighted(9, 30, 6, seed + 100);
   if (g.TotalWeight() == 0) return;
-  const DdsSolution naive = WeightedNaiveExact(g);
-  const WeightedCoreApproxResult approx = WeightedCoreApprox(g);
+  const DdsSolution naive = NaiveExact(g);
+  const CoreApproxResult approx = CoreApprox(g);
   ASSERT_FALSE(approx.Empty());
   EXPECT_GE(approx.density * 2.0 + 1e-9, naive.density) << "seed " << seed;
   EXPECT_LE(naive.density, approx.upper_bound + 1e-9);
@@ -194,7 +193,7 @@ TEST(WeightedExactTest, AllExactOptionCombinationsAgreeWithNaive) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
     const WeightedDigraph g = RandomWeighted(8, 26, 5, seed + 500);
     if (g.TotalWeight() == 0) continue;
-    const DdsSolution naive = WeightedNaiveExact(g);
+    const DdsSolution naive = NaiveExact(g);
     for (int mask = 0; mask < 32; ++mask) {
       ExactOptions options;
       options.divide_and_conquer = (mask & 1) != 0;
@@ -205,7 +204,7 @@ TEST(WeightedExactTest, AllExactOptionCombinationsAgreeWithNaive) {
       const DdsSolution sol = SolveExactDds(g, options);
       EXPECT_NEAR(sol.density, naive.density, 1e-6)
           << "seed " << seed << " mask " << mask;
-      EXPECT_NEAR(sol.density, WeightedDensity(g, sol.pair.s, sol.pair.t),
+      EXPECT_NEAR(sol.density, PairDensity(g, sol.pair.s, sol.pair.t),
                   1e-12)
           << "seed " << seed << " mask " << mask;
     }
@@ -218,8 +217,8 @@ TEST(WeightedExactTest, ScalingWeightsScalesDensityLinearly) {
   for (WeightedEdge& e : scaled) e.weight *= 7;
   const WeightedDigraph g7 =
       WeightedDigraph::FromEdges(g.NumVertices(), std::move(scaled));
-  const DdsSolution a = WeightedCoreExact(g);
-  const DdsSolution b = WeightedCoreExact(g7);
+  const DdsSolution a = SolveExactDds(g, ExactOptions{});
+  const DdsSolution b = SolveExactDds(g7, ExactOptions{});
   EXPECT_NEAR(b.density, 7.0 * a.density, 1e-6);
 }
 
@@ -229,7 +228,7 @@ TEST(WeightedExactTest, LpExactMatchesNaiveOnWeightedGraphs) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     const WeightedDigraph g = RandomWeighted(7, 20, 5, seed + 300);
     if (g.TotalWeight() == 0) continue;
-    const DdsSolution naive = WeightedNaiveExact(g);
+    const DdsSolution naive = NaiveExact(g);
     const DdsSolution lp = LpExact(g);
     EXPECT_NEAR(lp.density, naive.density, 1e-6) << "seed " << seed;
     // LP duality: the best LP value upper-bounds (and here matches) the
@@ -247,7 +246,7 @@ TEST(WeightedExactTest, HeavyEdgeDominatesManyLightOnes) {
   }
   edges.push_back({6, 7, 10});
   const WeightedDigraph g = WeightedDigraph::FromEdges(8, edges);
-  const DdsSolution sol = WeightedCoreExact(g);
+  const DdsSolution sol = SolveExactDds(g, ExactOptions{});
   EXPECT_NEAR(sol.density, 10.0, 1e-6);
   EXPECT_EQ(sol.pair.s, (std::vector<VertexId>{6}));
   EXPECT_EQ(sol.pair.t, (std::vector<VertexId>{7}));

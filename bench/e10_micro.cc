@@ -80,22 +80,23 @@ void ProbeRatioBenchmark(benchmark::State& state, bool incremental) {
   const std::vector<VertexId> all = AllVertices(g);
   const double upper = std::sqrt(static_cast<double>(g.NumEdges()));
   const double delta = ExactSearchDelta(g);
+  ExactOptions options;
+  options.incremental_probe = incremental;
   ProbeWorkspace workspace;
   RatioProbeResult result;
   for (auto _ : state) {
-    result = ProbeRatio(g, all, all, Fraction{1, 1}, 0.0, upper, delta,
-                        /*refine_cores=*/true, /*record_sizes=*/false,
-                        /*stop_below=*/0.0, &workspace, incremental);
+    result = ProbeRatio(g, all, all, {Fraction{1, 1}, 0.0, upper, delta},
+                        options, &workspace);
     benchmark::DoNotOptimize(result.h_upper);
   }
   state.counters["networks_built"] =
-      static_cast<double>(result.networks_built);
+      static_cast<double>(result.flow.flow_networks_built);
   state.counters["networks_reused"] =
-      static_cast<double>(result.networks_reused);
+      static_cast<double>(result.flow.flow_networks_reused);
   state.counters["warm_start_augmentations"] =
-      static_cast<double>(result.warm_start_augmentations);
+      static_cast<double>(result.flow.warm_start_augmentations);
   state.counters["binary_search_iters"] =
-      static_cast<double>(result.iterations);
+      static_cast<double>(result.flow.binary_search_iters);
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 

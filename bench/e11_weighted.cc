@@ -94,7 +94,8 @@ int Main(int argc, const char* const* argv) {
   double t_weighted = 0;
   double t_weighted_fresh = 0;
   {
-    const double secs = TimeOnce([&] { plain = CoreExact(g); });
+    const double secs =
+        TimeOnce([&] { plain = SolveExactDds(g, ExactOptions{}); });
     t.AddRow({"core-exact (unweighted)", "|E|/sqrt(|S||T|)",
               FormatDouble(plain.density, 3),
               std::to_string(plain.pair.s.size()),

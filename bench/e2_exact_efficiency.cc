@@ -19,8 +19,8 @@
 #include "bench_common.h"
 #include "dds/core_exact.h"
 #include "dds/engine.h"
-#include "dds/flow_exact.h"
 #include "dds/lp_exact.h"
+#include "dds/solver.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -67,9 +67,16 @@ int Main(int argc, const char* const* argv) {
     DdsSolution dc;
     DdsSolution core;
     DdsSolution core_fresh;
-    const double t_flow = TimeOnce([&] { flow = FlowExact(d.graph); });
-    const double t_dc = TimeOnce([&] { dc = DcExact(d.graph); });
-    const double t_core = TimeOnce([&] { core = CoreExact(d.graph); });
+    const double t_flow = TimeOnce([&] {
+      flow = SolveExactDds(
+          d.graph, ExactPresetFor(DdsAlgorithm::kFlowExact, ExactOptions{}));
+    });
+    const double t_dc = TimeOnce([&] {
+      dc = SolveExactDds(
+          d.graph, ExactPresetFor(DdsAlgorithm::kDcExact, ExactOptions{}));
+    });
+    const double t_core =
+        TimeOnce([&] { core = SolveExactDds(d.graph, ExactOptions{}); });
     // The before/after of the parametric probe engine: same trajectory,
     // rebuilt + cold-solved at every guess (an upper bound on the seed
     // cost, which built per-guess refined cores — see ExactOptions).

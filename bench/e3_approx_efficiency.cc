@@ -103,7 +103,8 @@ int Main(int argc, const char* const* argv) {
         TimeOnce([&] { core = CoreApprox(d.graph, &pool); });
     std::string exact_cell = "-";
     if (*with_exact) {
-      const double t_exact = TimeOnce([&] { (void)CoreExact(d.graph); });
+      const double t_exact =
+          TimeOnce([&] { (void)SolveExactDds(d.graph, ExactOptions{}); });
       exact_cell = FormatSeconds(t_exact);
     }
     t.AddRow({d.name, std::to_string(d.graph.NumVertices()),

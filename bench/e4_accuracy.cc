@@ -30,7 +30,7 @@ int Main(int argc, const char* const* argv) {
   // Both tiers: CoreExact provides the optimum everywhere (that is the
   // point of the paper).
   auto run = [&](const Dataset& d) {
-    const DdsSolution exact = CoreExact(d.graph);
+    const DdsSolution exact = SolveExactDds(d.graph, ExactOptions{});
     const CoreApproxResult core = CoreApprox(d.graph);
     const DdsSolution peel = PeelApprox(d.graph);
     t.AddRow({d.name, FormatDouble(exact.density, 4),

@@ -67,7 +67,8 @@ int Main(int argc, const char* const* argv) {
     const double t_core = TimeOnce([&] { (void)CoreApprox(g); });
     std::string exact_cell = "-";
     if (*with_exact) {
-      exact_cell = FormatSeconds(TimeOnce([&] { (void)CoreExact(g); }));
+      exact_cell = FormatSeconds(
+          TimeOnce([&] { (void)SolveExactDds(g, ExactOptions{}); }));
     }
     t.AddRow({FormatDouble(fraction * 100, 0) + "%",
               std::to_string(g.NumVertices()), std::to_string(g.NumEdges()),

@@ -10,7 +10,7 @@
 
 #include "bench_common.h"
 #include "dds/core_exact.h"
-#include "dds/flow_exact.h"
+#include "dds/solver.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -28,9 +28,11 @@ int Main(int argc, const char* const* argv) {
            "dc-exact probes", "core-exact probes", "core-exact pruned",
            "flow-exact cuts", "core-exact cuts"});
   for (const Dataset& d : ExactDatasets(*quick)) {
-    const DdsSolution flow = FlowExact(d.graph);
-    const DdsSolution dc = DcExact(d.graph);
-    const DdsSolution core = CoreExact(d.graph);
+    const DdsSolution flow = SolveExactDds(
+        d.graph, ExactPresetFor(DdsAlgorithm::kFlowExact, ExactOptions{}));
+    const DdsSolution dc = SolveExactDds(
+        d.graph, ExactPresetFor(DdsAlgorithm::kDcExact, ExactOptions{}));
+    const DdsSolution core = SolveExactDds(d.graph, ExactOptions{});
     t.AddRow({d.name, std::to_string(flow.stats.ratios_probed),
               std::to_string(flow.stats.ratios_probed),
               std::to_string(dc.stats.ratios_probed),

@@ -83,7 +83,7 @@ int Main(int argc, const char* const* argv) {
     };
     const CoreApproxResult approx = CoreApprox(planted.graph);
     report("core-approx", approx.core.s, approx.core.t, approx.density);
-    const DdsSolution exact = CoreExact(planted.graph);
+    const DdsSolution exact = SolveExactDds(planted.graph, ExactOptions{});
     report("core-exact", exact.pair.s, exact.pair.t, exact.density);
   }
   t.PrintMarkdown(std::cout);

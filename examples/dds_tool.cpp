@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       "skyline walk and the exact ratio-space search across a thread "
       "pool. Approximations return identical solutions at any count; the "
       "exact solvers return the same optimum with schedule-dependent "
-      "statistics. 1 = sequential");
+      "statistics. 1 = everything on the calling thread");
   std::string* out_file =
       flags.String("out_file", "", "write S/T vertex lists here");
   flags.ParseOrDie(argc, argv);

@@ -7,8 +7,8 @@
 // The public API in three steps: build a Digraph, solve through a
 // DdsEngine (construct it once per graph, then issue DdsRequests — the
 // engine keeps its solver scratch warm across queries), inspect the
-// returned (S, T) pair. One-shot free functions like CoreExact(g) remain
-// available when a single query is all you need.
+// returned (S, T) pair. SolveExactDds(g, ExactOptions{}) is the one-shot
+// call when a single query is all you need.
 
 #include <cstdio>
 

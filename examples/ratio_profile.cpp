@@ -45,10 +45,9 @@ int main() {
   const std::vector<Fraction> probes = {
       {1, 15}, {1, 8}, {1, 4}, {1, 2}, {1, 1}, {2, 1}, {4, 1}};
   for (const Fraction& ratio : probes) {
-    const RatioProbeResult probe =
-        ProbeRatio(graph, all, all, ratio, 0.0, upper,
-                   ExactSearchDelta(graph), /*refine_cores=*/true,
-                   /*record_sizes=*/false);
+    const RatioProbeResult probe = ProbeRatio(
+        graph, all, all, {ratio, 0.0, upper, ExactSearchDelta(graph)},
+        ExactOptions{});
     t.AddRow({ratio.ToString(), FormatDouble(probe.last_feasible, 3),
               FormatDouble(probe.h_upper, 3),
               std::to_string(probe.best_pair.s.size()),

@@ -19,9 +19,9 @@ CoreApproxResult CoreApprox(const G& g, ThreadPool* pool) {
   // Corners have strictly increasing x and strictly decreasing y, so
   // their count K satisfies (K/2)^2 <= max product <= W, i.e.
   // K <= 2 sqrt(W) — the O(sqrt(W) (n+m)) bound — while real graphs have
-  // far fewer levels. Under a multi-worker pool the walk runs
-  // speculatively batched; the corners (and hence everything below) are
-  // identical, only the executed-peel count differs.
+  // far fewer levels. A wider pool peels bigger batches of x values;
+  // the corners (and hence everything below) are identical, only the
+  // executed-peel count differs.
   const std::vector<SkylinePoint> skyline =
       CoreSkyline(g, /*x_limit=*/-1, pool, &result.sweeps);
 

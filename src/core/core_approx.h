@@ -46,10 +46,10 @@ struct CoreApproxResult {
 };
 
 /// Runs the 2-approximation. For an edgeless graph returns an empty result
-/// with density 0. `pool`, when non-null with more than one worker, runs
-/// the skyline walk speculatively batched (core/xy_core_decomposition.h);
-/// the chosen core, densities and bounds are identical either way — only
-/// `sweeps` reflects the peels the batched walk actually executed.
+/// with density 0. The skyline walk peels one x per `pool` worker per
+/// round (core/xy_core_decomposition.h; a null `pool` runs it on the
+/// caller); the chosen core, densities and bounds are identical at every
+/// worker count — only `sweeps` reflects the peels the walk executed.
 template <typename G>
 CoreApproxResult CoreApprox(const G& g, ThreadPool* pool = nullptr);
 

@@ -212,43 +212,22 @@ std::vector<SkylinePoint> CoreSkyline(const G& g, int64_t x_limit,
     return skyline;
   }
 
-  const G reversed = g.Reversed();
-  const int workers = pool != nullptr ? pool->num_workers() : 1;
-  if (workers <= 1) {
-    // Corner walk (the CoreApprox sweep): for the current x compute the
-    // level y = y_max(x), then jump to the level's right end x_max(y) via
-    // one fixed-y sweep on the transpose. Each distinct y-level costs two
-    // peels no matter how wide it is in x — the property that makes the
-    // decomposition weight-generic, since weighted levels span Theta(W)
-    // consecutive x values.
-    int64_t x = 1;
-    while (x <= bound) {
-      ++peel_count;
-      const int64_t y = MaxYForX(g, x);
-      if (y == 0) break;
-      ++peel_count;
-      int64_t x_right = MaxYForX(reversed, y);  // x_max(y) >= x
-      CHECK_GE(x_right, x);
-      // A level reaching past the cap is reported truncated at the cap
-      // (the point is still realized and y-maximal there, just not
-      // x-maximal).
-      x_right = std::min(x_right, bound);
-      skyline.push_back(SkylinePoint{x_right, y});
-      x = x_right + 1;
-    }
-    if (peels != nullptr) *peels = peel_count;
-    return skyline;
-  }
-
-  // Speculative batched walk (DESIGN.md §11): peel a batch of consecutive
-  // x values concurrently. y_max is non-increasing, so every strict drop
+  // Batched corner walk (DESIGN.md §11): peel a batch of consecutive x
+  // values, one per worker. y_max is non-increasing, so every strict drop
   // inside the batch pins a level's right end exactly — those corners
   // need no transpose peel at all — and only the level still open at the
-  // batch's end pays the transpose jump, which also skips the rest of a
-  // wide level exactly like the sequential walk. The staircase is a pure
-  // function of the graph, so the points are identical to the sequential
-  // walk's no matter how the batches land.
-  const int64_t batch_cap = std::min<int64_t>(workers, 16);
+  // batch's end pays one fixed-y sweep on the transpose, which jumps to
+  // the level's right end x_max(y). Each distinct y-level thus costs at
+  // most two peels no matter how wide it is in x — the property that
+  // makes the decomposition weight-generic, since weighted levels span
+  // Theta(W) consecutive x values. At one worker each batch is a single
+  // x: one MaxYForX and one transpose jump per level. The staircase is a
+  // pure function of the graph, so the points do not depend on how the
+  // batches land.
+  ThreadPool inline_pool(1);
+  if (pool == nullptr) pool = &inline_pool;
+  const G reversed = g.Reversed();
+  const int64_t batch_cap = std::min<int64_t>(pool->num_workers(), 16);
   std::vector<int64_t> ys(static_cast<size_t>(batch_cap));
   int64_t x = 1;
   while (x <= bound) {
@@ -275,7 +254,9 @@ std::vector<SkylinePoint> CoreSkyline(const G& g, int64_t x_limit,
         j = k + 1;
       } else {
         // The level may extend past the batch: one transpose jump finds
-        // (and skips) its true right end.
+        // (and skips) its true right end. A level reaching past the cap is
+        // reported truncated at the cap (still realized and y-maximal
+        // there, just not x-maximal).
         ++peel_count;
         int64_t x_right = MaxYForX(reversed, y);
         CHECK_GE(x_right, x + k);

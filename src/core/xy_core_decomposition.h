@@ -60,14 +60,14 @@ extern template int64_t MaxYForX<WeightedDigraph>(const WeightedDigraph&,
 /// cap is reported truncated at (x_limit, y), still realized and
 /// y-maximal but not x-maximal.
 ///
-/// `pool`, when non-null with more than one worker, turns the walk into a
-/// speculative batched one (DESIGN.md §11): each round peels a batch of
-/// consecutive x values concurrently, reads every level boundary inside
-/// the batch straight off the monotone y sequence (those corners need no
-/// transpose peel at all), and falls back to one transpose jump only for
-/// the level still open at the batch's end. The staircase is a pure
-/// function of the graph, so the returned points are bit-identical to the
-/// sequential walk — speculation changes only which peels are executed.
+/// The walk peels a batch of consecutive x values per round, one per
+/// `pool` worker (DESIGN.md §11), reads every level boundary inside the
+/// batch straight off the monotone y sequence (those corners need no
+/// transpose peel at all), and pays one transpose jump only for the level
+/// still open at the batch's end. A null `pool` runs one x per round on
+/// the caller. The staircase is a pure function of the graph, so the
+/// returned points are identical at every worker count — the batch size
+/// changes only which peels are executed.
 /// `peels`, when non-null, receives the number of decomposition peels
 /// executed (the CoreApproxResult::sweeps accounting).
 template <typename G>

@@ -12,9 +12,8 @@ namespace ddsgraph {
 namespace {
 
 // One batch-peel pass. Returns the best intermediate pair density and,
-// through the out-parameters, the best pair itself. `pool` parallelizes
-// the per-pass threshold scans (chunked, drop lists concatenated in chunk
-// order, so the scan output is bit-identical to the sequential one).
+// through the out-parameters, the best pair itself. `pool` runs the
+// per-pass threshold scans chunk by chunk.
 template <typename G>
 double BatchPass(const G& g, double beta, ThreadPool* pool, int64_t* passes,
                  DdsPair* best_pair) {
@@ -48,14 +47,12 @@ double BatchPass(const G& g, double beta, ThreadPool* pool, int64_t* passes,
     }
   };
 
-  // Chunk layout for the parallel threshold scans. The chunk count is a
-  // function of n alone (not of the worker count), and chunk results are
+  // Chunk layout for the threshold scans. The chunk count is a function
+  // of n alone (not of the worker count), and chunk results are
   // concatenated in chunk order, so the drop lists come out in vertex
-  // order — identical to the sequential scan — for every thread count.
-  const int workers = pool != nullptr ? pool->num_workers() : 1;
+  // order for every thread count.
   const uint32_t chunk_size = 1u << 14;
-  const int64_t num_chunks =
-      workers > 1 ? (n + chunk_size - 1) / chunk_size : 1;
+  const int64_t num_chunks = (n + chunk_size - 1) / chunk_size;
   std::vector<std::vector<VertexId>> chunk_drop_s(
       static_cast<size_t>(num_chunks));
   std::vector<std::vector<VertexId>> chunk_drop_t(
@@ -72,39 +69,27 @@ double BatchPass(const G& g, double beta, ThreadPool* pool, int64_t* passes,
         beta * static_cast<double>(weight) / static_cast<double>(n_t);
     std::vector<VertexId> drop_s;
     std::vector<VertexId> drop_t;
-    if (workers > 1 && num_chunks > 1) {
-      pool->ParallelFor(num_chunks, [&](int64_t c, int /*worker*/) {
-        auto& local_s = chunk_drop_s[static_cast<size_t>(c)];
-        auto& local_t = chunk_drop_t[static_cast<size_t>(c)];
-        local_s.clear();
-        local_t.clear();
-        const VertexId begin = static_cast<VertexId>(c) * chunk_size;
-        const VertexId end =
-            std::min<VertexId>(n, begin + chunk_size);
-        for (VertexId v = begin; v < end; ++v) {
-          if (in_s[v] && static_cast<double>(dout[v]) <= s_threshold) {
-            local_s.push_back(v);
-          }
-          if (in_t[v] && static_cast<double>(din[v]) <= t_threshold) {
-            local_t.push_back(v);
-          }
-        }
-      });
-      for (int64_t c = 0; c < num_chunks; ++c) {
-        drop_s.insert(drop_s.end(), chunk_drop_s[static_cast<size_t>(c)].begin(),
-                      chunk_drop_s[static_cast<size_t>(c)].end());
-        drop_t.insert(drop_t.end(), chunk_drop_t[static_cast<size_t>(c)].begin(),
-                      chunk_drop_t[static_cast<size_t>(c)].end());
-      }
-    } else {
-      for (VertexId v = 0; v < n; ++v) {
+    pool->ParallelFor(num_chunks, [&](int64_t c, int /*worker*/) {
+      auto& local_s = chunk_drop_s[static_cast<size_t>(c)];
+      auto& local_t = chunk_drop_t[static_cast<size_t>(c)];
+      local_s.clear();
+      local_t.clear();
+      const VertexId begin = static_cast<VertexId>(c) * chunk_size;
+      const VertexId end = std::min<VertexId>(n, begin + chunk_size);
+      for (VertexId v = begin; v < end; ++v) {
         if (in_s[v] && static_cast<double>(dout[v]) <= s_threshold) {
-          drop_s.push_back(v);
+          local_s.push_back(v);
         }
         if (in_t[v] && static_cast<double>(din[v]) <= t_threshold) {
-          drop_t.push_back(v);
+          local_t.push_back(v);
         }
       }
+    });
+    for (int64_t c = 0; c < num_chunks; ++c) {
+      drop_s.insert(drop_s.end(), chunk_drop_s[static_cast<size_t>(c)].begin(),
+                    chunk_drop_s[static_cast<size_t>(c)].end());
+      drop_t.insert(drop_t.end(), chunk_drop_t[static_cast<size_t>(c)].begin(),
+                    chunk_drop_t[static_cast<size_t>(c)].end());
     }
     // Every vertex passing both thresholds would certify a dense pair; at
     // least one side always loses a constant fraction (averaging over

@@ -36,11 +36,11 @@ struct BatchPeelOptions {
   /// Batch threshold slack beta = 1 + batch_epsilon.
   double batch_epsilon = 0.25;
   /// Worker count (util/thread_pool.h) for the per-pass threshold scans —
-  /// the O(n) read-only half of every pass. Chunks of the vertex range
-  /// are scanned concurrently and their drop lists concatenated in chunk
-  /// order, so the drop sets, their application order and hence the whole
-  /// run are bit-identical for every thread count. 1 (the default) is the
-  /// historical sequential scan.
+  /// the O(n) read-only half of every pass. The vertex range is scanned in
+  /// ceil(n / 2^14) chunks at every thread count, concurrently across the
+  /// workers, and the chunks' drop lists are concatenated in chunk order,
+  /// so the drop sets, their application order and hence the whole run
+  /// are bit-identical for every thread count.
   int threads = 1;
 };
 

@@ -55,18 +55,18 @@ struct EngineState {
   SolverStats stats;
 };
 
-// Engine-level stop check: reports global incumbent/bound progress to the
-// callback and latches the deadline. Cheap enough to call per interval.
+// The engine state a stop check reports to the progress callback. Taken
+// under the engine mutex; the control (and with it the user callback)
+// runs outside it, so a slow callback never serializes the other workers.
+// The stop latch is sticky and atomic, so every worker sees a stop.
 template <typename G>
-bool StopRequested(EngineState<G>* state) {
-  if (state->control == nullptr) return false;
+DdsProgress ProgressOf(const EngineState<G>& state) {
   DdsProgress progress;
-  progress.lower_bound = state->incumbent_density;
-  progress.upper_bound = state->upper_global;
-  progress.ratios_probed = state->stats.ratios_probed;
-  progress.binary_search_iters = state->stats.binary_search_iters;
-  progress.elapsed_seconds = state->control->ElapsedSeconds();
-  return state->control->ShouldStop(progress);
+  progress.lower_bound = state.incumbent_density;
+  progress.upper_bound = state.upper_global;
+  progress.ratios_probed = state.stats.ratios_probed;
+  progress.binary_search_iters = state.stats.binary_search_iters;
+  return progress;
 }
 
 // Marks the solve interrupted and derives the anytime upper bound via
@@ -89,30 +89,39 @@ void FinishInterrupted(EngineState<G>* state,
 template <typename G>
 void AbsorbProbeStats(const RatioProbeResult& probe, EngineState<G>* state) {
   ++state->stats.ratios_probed;
-  state->stats.flow_networks_built += probe.networks_built;
-  state->stats.flow_networks_reused += probe.networks_reused;
-  state->stats.warm_start_augmentations += probe.warm_start_augmentations;
-  state->stats.arcs_scanned += probe.arcs_scanned;
-  state->stats.global_relabels += probe.global_relabels;
-  state->stats.flow_solves_dinic += probe.flow_solves_dinic;
-  state->stats.flow_solves_push_relabel += probe.flow_solves_push_relabel;
-  state->stats.binary_search_iters += probe.iterations;
-  state->stats.max_network_nodes =
-      std::max(state->stats.max_network_nodes, probe.max_network_nodes);
-  if (state->options.record_network_sizes) {
-    state->stats.network_sizes.insert(state->stats.network_sizes.end(),
-                                      probe.network_sizes.begin(),
-                                      probe.network_sizes.end());
-  }
+  state->stats += probe.flow;
 }
 
+// Provenance of the incumbent: the ratio of the probe that set it, or
+// "not from a probe" for the warm start.
+struct IncumbentTie {
+  Fraction ratio;
+  bool from_probe = false;
+};
+
+// The incumbent merge (DESIGN.md §11): a probe witness replaces the
+// incumbent when it is strictly denser, or when it ties on density at a
+// lower probe ratio than the probe witness it would replace; the
+// warm-start incumbent is kept on ties. Among the witnesses that get
+// reported the incumbent therefore does not depend on reporting order.
+// (Which equal-density witnesses are reported at all still depends on
+// pruning against the evolving incumbent — only a unique max-density
+// witness makes the returned pair schedule-independent; see
+// ExactOptions::threads.)
 template <typename G>
 void MaybeUpdateIncumbent(const RatioProbeResult& probe,
-                          EngineState<G>* state) {
-  if (!probe.best_pair.Empty() &&
-      probe.best_density > state->incumbent_density) {
+                          const Fraction& ratio, EngineState<G>* state,
+                          IncumbentTie* tie) {
+  if (probe.best_pair.Empty()) return;
+  const bool better = probe.best_density > state->incumbent_density;
+  const bool tie_better = probe.best_density == state->incumbent_density &&
+                          tie->from_probe &&
+                          FractionLess(ratio, tie->ratio);
+  if (better || tie_better) {
     state->incumbent = probe.best_pair;
     state->incumbent_density = probe.best_density;
+    tie->ratio = ratio;
+    tie->from_probe = true;
   }
 }
 
@@ -141,9 +150,9 @@ struct ContextProbe {
 // context (when core pruning is on). The binary search starts from 0 so
 // that the returned h_upper genuinely tracks h(ratio) — that is what
 // powers the interval pruning — but is truncated at `stop_below` (see
-// header). Pure with respect to the engine state: everything it needs is
-// passed in, so concurrent workers can run probes side by side (each on
-// its own `workspace`) and absorb the results under a lock afterwards.
+// header). Reads only the fields of `state` that are fixed for the whole
+// search, so workers run probes side by side (each on its own
+// `workspace`) and absorb the results under the engine mutex afterwards.
 // Any valid lower bound works as `incumbent_density`; a stale (smaller)
 // one merely yields a larger candidate core, never a wrong answer.
 //
@@ -151,24 +160,23 @@ struct ContextProbe {
 // were no stronger than this context's — the parent interval's candidate
 // core. Cores are nested, so the context core is located *inside it* in
 // O(|within|) instead of peeling the full graph (the same fixpoint comes
-// out; only the cost changes). The D&C loops thread each probe's located
+// out; only the cost changes). The D&C loop threads each probe's located
 // core to its two subintervals: the incumbent only rises and a child
 // context is a sub-interval, so the child's [x,y]-thresholds dominate
 // the parent's and the containment prerequisite always holds.
 template <typename G>
-ContextProbe ProbeInContextAt(const G& g, const ExactOptions& options,
-                              double delta, double upper_global,
+ContextProbe ProbeInContextAt(const EngineState<G>& state,
                               double incumbent_density, const Fraction& ratio,
                               const Fraction& lo_ctx, const Fraction& hi_ctx,
                               double stop_below, const CoreContext* within,
-                              ProbeWorkspace* workspace,
-                              SolveControl* control) {
+                              ProbeWorkspace* workspace) {
+  const G& g = *state.g;
   ContextProbe result;
   std::vector<VertexId> s_cand;
   std::vector<VertexId> t_cand;
   const std::vector<VertexId>* probe_s = &s_cand;
   const std::vector<VertexId>* probe_t = &t_cand;
-  if (options.core_pruning && incumbent_density > 0) {
+  if (state.options.core_pruning && incumbent_density > 0) {
     const double sqrt_lo = std::sqrt(lo_ctx.ToDouble());
     const double sqrt_hi = std::sqrt(hi_ctx.ToDouble());
     const int64_t x_c = SideThreshold(incumbent_density / (2.0 * sqrt_hi));
@@ -197,30 +205,27 @@ ContextProbe ProbeInContextAt(const G& g, const ExactOptions& options,
       t_cand[v] = v;
     }
   }
-  result.probe = ProbeRatio(g, *probe_s, *probe_t, ratio, /*lower_start=*/0.0,
-                            upper_global, delta, options.refine_cores_in_probe,
-                            options.record_network_sizes, stop_below,
-                            workspace, options.incremental_probe,
-                            options.flow_engine, control);
+  const ProbeWindow window{ratio, /*lower_start=*/0.0, state.upper_global,
+                           state.delta, stop_below};
+  result.probe = ProbeRatio(g, *probe_s, *probe_t, window, state.options,
+                            workspace, state.control);
   return result;
 }
 
-// The sequential wrapper: probe with the live engine state and absorb the
-// outcome in place (the historical threads = 1 code path).
-template <typename G>
-ContextProbe ProbeInContext(const Fraction& ratio, const Fraction& lo_ctx,
-                            const Fraction& hi_ctx, double stop_below,
-                            const CoreContext* within, EngineState<G>* state) {
-  ContextProbe result = ProbeInContextAt(
-      *state->g, state->options, state->delta, state->upper_global,
-      state->incumbent_density, ratio, lo_ctx, hi_ctx, stop_below, within,
-      state->workspace, state->control);
-  if (!result.context_exhausted) {
-    AbsorbProbeStats(result.probe, state);
-    MaybeUpdateIncumbent(result.probe, state);
+// Worker 0 probes on the caller's long-lived workspace (the engine
+// serving path); the others own per-solve private scratch.
+class WorkerWorkspaces {
+ public:
+  WorkerWorkspaces(ProbeWorkspace* caller, int workers)
+      : caller_(caller), private_(static_cast<size_t>(workers - 1)) {}
+  ProbeWorkspace* For(int worker) {
+    return worker == 0 ? caller_ : &private_[static_cast<size_t>(worker - 1)];
   }
-  return result;
-}
+
+ private:
+  ProbeWorkspace* caller_;
+  std::vector<ProbeWorkspace> private_;
+};
 
 /// An interval on the work stack together with the located core of its
 /// *parent* context (null = locate on the full graph).
@@ -240,218 +245,77 @@ void FinishInterruptedWork(EngineState<G>* state,
   FinishInterrupted(state, &intervals);
 }
 
+// Work-sharing divide and conquer over ratio intervals (DESIGN.md §11):
+// the interval stack is a shared pool from which every worker pops,
+// probes, and deposits subintervals; all engine-state mutation (stats,
+// incumbent, the stack) happens under one mutex. Each worker prunes
+// against the freshest incumbent available at pop time; a stale (lower)
+// incumbent only makes pruning more conservative, so exactness is
+// untouched. Anytime semantics survive: a truncated probe still returns
+// certified bounds, its subintervals reach the stack before the worker
+// exits, and the certificate is derived from the drained stack once
+// every worker has stopped. On one worker this is the plain depth-first
+// loop, run inline on the caller.
 template <typename G>
-void RunDivideAndConquer(EngineState<G>* state) {
+void RunDivideAndConquer(EngineState<G>* state, ThreadPool* pool) {
   const int64_t n = state->g->NumVertices();
   const Fraction lo = MinRatio(n);
   const Fraction hi = MaxRatio(n);
-  const ContextProbe probe_lo =
-      ProbeInContext(lo, lo, lo, 0.0, /*within=*/nullptr, state);
-  if (state->control != nullptr && state->control->stopped()) {
-    FinishInterrupted(state, nullptr);
-    return;
-  }
-  if (lo == hi) return;
-  const ContextProbe probe_hi =
-      ProbeInContext(hi, hi, hi, 0.0, /*within=*/nullptr, state);
-  if (state->control != nullptr && state->control->stopped()) {
-    FinishInterrupted(state, nullptr);
-    return;
-  }
-
-  // The root interval locates its core on the full graph (the endpoint
-  // contexts are single ratios with *stronger* thresholds, so their cores
-  // do not contain the root's); every descendant locates within its
-  // parent's located core.
-  std::vector<IntervalWork> work;
-  work.push_back(IntervalWork{RatioInterval{lo, hi, probe_lo.probe.h_upper,
-                                            probe_hi.probe.h_upper},
-                              nullptr});
-  while (!work.empty()) {
-    // A probe truncated by the control still returns a certified (looser)
-    // h_upper, so the subintervals pushed below keep the invariant and
-    // this check can account for them on the next pass.
-    if (StopRequested(state)) {
-      FinishInterruptedWork(state, work);
-      return;
-    }
-    IntervalWork item = std::move(work.back());
-    work.pop_back();
-    const RatioInterval& interval = item.interval;
-    if (!HasRealizableRatioBetween(interval.lo, interval.hi, n)) continue;
-    const double bound = IntervalDensityBound(interval);
-    const double prune_at =
-        state->incumbent_density +
-        1e-9 * std::max(1.0, state->incumbent_density);
-    if (bound <= prune_at) {
-      ++state->stats.intervals_pruned;
-      continue;
-    }
-    std::optional<Fraction> mid = ProbeRatioForInterval(interval, n);
-    CHECK(mid.has_value());  // HasRealizableRatioBetween passed
-    // The weakest h_upper that still lets both subintervals be pruned:
-    // their phi factors are at most this interval's.
-    const double interval_phi = RatioMismatchPhi(
-        std::sqrt(interval.hi.ToDouble() / interval.lo.ToDouble()));
-    const double stop_below = state->incumbent_density / interval_phi;
-    const ContextProbe probe = ProbeInContext(
-        *mid, interval.lo, interval.hi, stop_below, item.parent.get(), state);
-    if (probe.context_exhausted) {
-      // Nothing anywhere in (lo, hi) beats the incumbent.
-      state->stats.intervals_pruned += 2;
-      continue;
-    }
-    work.push_back(IntervalWork{RatioInterval{interval.lo, *mid,
-                                              interval.h_upper_lo,
-                                              probe.probe.h_upper},
-                                probe.located});
-    work.push_back(IntervalWork{RatioInterval{*mid, interval.hi,
-                                              probe.probe.h_upper,
-                                              interval.h_upper_hi},
-                                probe.located});
-  }
-}
-
-template <typename G>
-void RunExhaustive(EngineState<G>* state) {
-  const int64_t n = state->g->NumVertices();
-  CHECK_LE(n, state->options.max_exhaustive_n)
-      << "exhaustive ratio enumeration is O(n^2); enable "
-         "divide_and_conquer for graphs this large";
-  for (const Fraction& ratio : AllRealizableRatios(n)) {
-    if (StopRequested(state)) {
-      FinishInterrupted(state, nullptr);
-      return;
-    }
-    // At a single ratio, any pair denser than the incumbent has linearized
-    // value > incumbent, so the descent may stop there.
-    ProbeInContext(ratio, ratio, ratio, state->incumbent_density,
-                   /*within=*/nullptr, state);
-  }
-  // The control can also fire inside the *last* ratio's probe, truncating
-  // its descent with no further loop iteration to notice; without this
-  // check the solve would claim proven optimality it doesn't have.
-  if (state->control != nullptr && state->control->stopped()) {
-    FinishInterrupted(state, nullptr);
-  }
-}
-
-// ------------------------------------------------------------------------
-// The parallel ratio-space search (DESIGN.md §11). Shapes shared by both
-// engines: every probe runs the pure ProbeInContextAt on a per-worker
-// ProbeWorkspace; all engine-state mutation (stats, incumbent, the
-// interval stack) happens under one mutex; and equal-density witnesses
-// are merged under a deterministic lowest-probe-ratio tie-break, so
-// among the witnesses that get reported the incumbent does not depend on
-// reporting order. (Which equal-density witnesses are reported at all
-// still depends on pruning against the evolving incumbent — only a
-// unique max-density witness makes the returned pair fully
-// schedule-independent; see ExactOptions::threads.)
-
-// Provenance of the shared incumbent: the ratio of the probe that set it,
-// or "not from a probe" for the warm start. On a density tie the
-// warm-start incumbent is kept (sequential parity: the sequential loop
-// replaces only on strictly greater density) and among probe witnesses
-// the lowest ratio wins.
-struct IncumbentTie {
-  Fraction ratio;
-  bool from_probe = false;
-};
-
-template <typename G>
-void MaybeUpdateIncumbentParallel(const RatioProbeResult& probe,
-                                  const Fraction& ratio, EngineState<G>* state,
-                                  IncumbentTie* tie) {
-  if (probe.best_pair.Empty()) return;
-  const bool better = probe.best_density > state->incumbent_density;
-  const bool tie_better = probe.best_density == state->incumbent_density &&
-                          tie->from_probe &&
-                          FractionLess(ratio, tie->ratio);
-  if (better || tie_better) {
-    state->incumbent = probe.best_pair;
-    state->incumbent_density = probe.best_density;
-    tie->ratio = ratio;
-    tie->from_probe = true;
-  }
-}
-
-// Work-sharing divide and conquer: the interval stack becomes a shared
-// pool from which every worker pops, probes, and deposits subintervals.
-// Each worker prunes against the freshest incumbent available at pop
-// time; a stale (lower) incumbent only makes pruning more conservative,
-// so exactness is untouched. Anytime semantics survive: a truncated
-// probe still returns certified bounds, its subintervals reach the stack
-// before the worker exits, and the certificate is derived from the
-// drained stack once every worker has stopped.
-template <typename G>
-void RunDivideAndConquerParallel(EngineState<G>* state, ThreadPool* pool) {
-  const G& g = *state->g;
-  const int64_t n = g.NumVertices();
-  const Fraction lo = MinRatio(n);
-  const Fraction hi = MaxRatio(n);
-  const int workers = pool->num_workers();
-  // Worker 0 probes on the caller's long-lived workspace (the engine
-  // serving path); the others own per-solve private scratch.
-  std::vector<ProbeWorkspace> private_workspaces(
-      static_cast<size_t>(workers - 1));
-  auto workspace_for = [&](int worker) {
-    return worker == 0 ? state->workspace
-                       : &private_workspaces[static_cast<size_t>(worker - 1)];
-  };
+  WorkerWorkspaces workspaces(state->workspace, pool->num_workers());
+  std::mutex mu;
   IncumbentTie tie;
 
-  // Endpoint probes: independent of each other, both against the
-  // warm-start incumbent, absorbed in (lo, hi) order.
+  // Endpoint probes: each snapshots the incumbent when it starts and is
+  // absorbed as soon as it returns, so on one worker `hi` already prunes
+  // against `lo`'s witness. Once the control has stopped, a probe not yet
+  // started is skipped.
   const int64_t num_endpoints = lo == hi ? 1 : 2;
-  std::vector<ContextProbe> endpoint(static_cast<size_t>(num_endpoints));
-  const double incumbent0 = state->incumbent_density;
+  double endpoint_upper[2] = {0, 0};
   pool->ParallelFor(num_endpoints, [&](int64_t i, int worker) {
     const Fraction& ratio = i == 0 ? lo : hi;
-    endpoint[static_cast<size_t>(i)] = ProbeInContextAt(
-        g, state->options, state->delta, state->upper_global, incumbent0,
-        ratio, ratio, ratio, /*stop_below=*/0.0, /*within=*/nullptr,
-        workspace_for(worker), state->control);
+    double incumbent_snapshot;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (state->control != nullptr && state->control->stopped()) return;
+      incumbent_snapshot = state->incumbent_density;
+    }
+    const ContextProbe probe = ProbeInContextAt(
+        *state, incumbent_snapshot, ratio, ratio, ratio, /*stop_below=*/0.0,
+        /*within=*/nullptr, workspaces.For(worker));
+    std::lock_guard<std::mutex> lock(mu);
+    if (!probe.context_exhausted) {
+      AbsorbProbeStats(probe.probe, state);
+      MaybeUpdateIncumbent(probe.probe, ratio, state, &tie);
+    }
+    endpoint_upper[i] = probe.probe.h_upper;
   });
-  for (int64_t i = 0; i < num_endpoints; ++i) {
-    const ContextProbe& probe = endpoint[static_cast<size_t>(i)];
-    if (probe.context_exhausted) continue;
-    AbsorbProbeStats(probe.probe, state);
-    MaybeUpdateIncumbentParallel(probe.probe, i == 0 ? lo : hi, state, &tie);
-  }
   if (state->control != nullptr && state->control->stopped()) {
     FinishInterrupted(state, nullptr);
     return;
   }
   if (num_endpoints == 1) return;
 
-  std::mutex mu;
+  // The root interval locates its core on the full graph (the endpoint
+  // contexts are single ratios with *stronger* thresholds, so their cores
+  // do not contain the root's); every descendant locates within its
+  // parent's located core.
   std::condition_variable cv;
   std::vector<IntervalWork> work;
-  work.push_back(IntervalWork{RatioInterval{lo, hi, endpoint[0].probe.h_upper,
-                                            endpoint[1].probe.h_upper},
-                              nullptr});
+  work.push_back(IntervalWork{
+      RatioInterval{lo, hi, endpoint_upper[0], endpoint_upper[1]}, nullptr});
   int active = 0;
   bool stop_draining = false;
 
   pool->RunOnAllWorkers([&](int worker) {
-    ProbeWorkspace* workspace = workspace_for(worker);
+    ProbeWorkspace* workspace = workspaces.For(worker);
     std::unique_lock<std::mutex> lock(mu);
     while (true) {
       if (stop_draining) break;
-      // The sequential per-interval anytime cadence: deadline/callback
-      // checked before each pop. The progress snapshot is taken under
-      // the lock but the control (and with it the user callback) runs
-      // outside it, so a slow callback never serializes the other
-      // workers behind this one — the stop latch is sticky and atomic,
-      // so semantics are unchanged.
+      // Deadline/callback checked before each pop.
       if (state->control != nullptr) {
-        DdsProgress progress;
-        progress.lower_bound = state->incumbent_density;
-        progress.upper_bound = state->upper_global;
-        progress.ratios_probed = state->stats.ratios_probed;
-        progress.binary_search_iters = state->stats.binary_search_iters;
-        progress.elapsed_seconds = state->control->ElapsedSeconds();
+        DdsProgress progress = ProgressOf(*state);
         lock.unlock();
+        progress.elapsed_seconds = state->control->ElapsedSeconds();
         const bool stop = state->control->ShouldStop(progress);
         lock.lock();
         if (stop || stop_draining) {
@@ -482,15 +346,17 @@ void RunDivideAndConquerParallel(EngineState<G>* state, ThreadPool* pool) {
       }
       std::optional<Fraction> mid = ProbeRatioForInterval(interval, n);
       CHECK(mid.has_value());  // HasRealizableRatioBetween passed
+      // The weakest h_upper that still lets both subintervals be pruned:
+      // their phi factors are at most this interval's.
       const double interval_phi = RatioMismatchPhi(
           std::sqrt(interval.hi.ToDouble() / interval.lo.ToDouble()));
       const double stop_below = incumbent_snapshot / interval_phi;
       ++active;
       lock.unlock();
-      const ContextProbe probe = ProbeInContextAt(
-          g, state->options, state->delta, state->upper_global,
-          incumbent_snapshot, *mid, interval.lo, interval.hi, stop_below,
-          item.parent.get(), workspace, state->control);
+      const ContextProbe probe =
+          ProbeInContextAt(*state, incumbent_snapshot, *mid, interval.lo,
+                           interval.hi, stop_below, item.parent.get(),
+                           workspace);
       lock.lock();
       --active;
       if (probe.context_exhausted) {
@@ -500,7 +366,7 @@ void RunDivideAndConquerParallel(EngineState<G>* state, ThreadPool* pool) {
         continue;
       }
       AbsorbProbeStats(probe.probe, state);
-      MaybeUpdateIncumbentParallel(probe.probe, *mid, state, &tie);
+      MaybeUpdateIncumbent(probe.probe, *mid, state, &tie);
       // Subintervals reach the stack even after a truncated probe — the
       // truncated h_upper is still certified, which is what keeps the
       // anytime bound valid when the loop drains below.
@@ -521,58 +387,53 @@ void RunDivideAndConquerParallel(EngineState<G>* state, ThreadPool* pool) {
   }
 }
 
-// Parallel exhaustive enumeration: the realizable ratios fan out across
-// the pool; each probe truncates its descent at the freshest incumbent
-// snapshot and results merge under the same lowest-ratio tie-break.
+// Exhaustive enumeration: workers claim the realizable ratios in
+// ascending order from a shared cursor, each probe truncating its descent
+// at the freshest incumbent snapshot. A worker stops claiming as soon as
+// the control fires, so a stopped solve returns without walking the
+// remaining O(n^2) ratios.
 template <typename G>
-void RunExhaustiveParallel(EngineState<G>* state, ThreadPool* pool) {
-  const G& g = *state->g;
-  const int64_t n = g.NumVertices();
+void RunExhaustive(EngineState<G>* state, ThreadPool* pool) {
+  const int64_t n = state->g->NumVertices();
   CHECK_LE(n, state->options.max_exhaustive_n)
       << "exhaustive ratio enumeration is O(n^2); enable "
          "divide_and_conquer for graphs this large";
   const std::vector<Fraction> ratios = AllRealizableRatios(n);
-  const int workers = pool->num_workers();
-  std::vector<ProbeWorkspace> private_workspaces(
-      static_cast<size_t>(workers - 1));
+  WorkerWorkspaces workspaces(state->workspace, pool->num_workers());
   std::mutex mu;
   IncumbentTie tie;
-  pool->ParallelFor(
-      static_cast<int64_t>(ratios.size()), [&](int64_t i, int worker) {
-        double incumbent_snapshot;
-        DdsProgress snapshot;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          incumbent_snapshot = state->incumbent_density;
-          snapshot.lower_bound = state->incumbent_density;
-          snapshot.upper_bound = state->upper_global;
-          snapshot.ratios_probed = state->stats.ratios_probed;
-          snapshot.binary_search_iters = state->stats.binary_search_iters;
-        }
-        // The control (and the user callback) runs outside the stats
-        // mutex so a slow callback cannot serialize the pool.
-        if (state->control != nullptr) {
-          snapshot.elapsed_seconds = state->control->ElapsedSeconds();
-          if (state->control->ShouldStop(snapshot)) {
-            return;  // drain the remaining ratios
-          }
-        }
-        const Fraction& ratio = ratios[static_cast<size_t>(i)];
-        // At a single ratio, any pair denser than the incumbent has
-        // linearized value > incumbent, so the descent may stop there.
-        const ContextProbe probe = ProbeInContextAt(
-            g, state->options, state->delta, state->upper_global,
-            incumbent_snapshot, ratio, ratio, ratio,
-            /*stop_below=*/incumbent_snapshot, /*within=*/nullptr,
-            worker == 0
-                ? state->workspace
-                : &private_workspaces[static_cast<size_t>(worker - 1)],
-            state->control);
-        if (probe.context_exhausted) return;
+  size_t next = 0;
+  pool->RunOnAllWorkers([&](int worker) {
+    ProbeWorkspace* workspace = workspaces.For(worker);
+    while (true) {
+      size_t i;
+      DdsProgress progress;
+      {
         std::lock_guard<std::mutex> lock(mu);
-        AbsorbProbeStats(probe.probe, state);
-        MaybeUpdateIncumbentParallel(probe.probe, ratio, state, &tie);
-      });
+        if (next == ratios.size()) return;
+        i = next++;
+        progress = ProgressOf(*state);
+      }
+      if (state->control != nullptr) {
+        progress.elapsed_seconds = state->control->ElapsedSeconds();
+        if (state->control->ShouldStop(progress)) return;
+      }
+      const Fraction& ratio = ratios[i];
+      // At a single ratio, any pair denser than the incumbent has
+      // linearized value > incumbent, so the descent may stop there.
+      const double incumbent_snapshot = progress.lower_bound;
+      const ContextProbe probe = ProbeInContextAt(
+          *state, incumbent_snapshot, ratio, ratio, ratio,
+          /*stop_below=*/incumbent_snapshot, /*within=*/nullptr, workspace);
+      if (probe.context_exhausted) continue;
+      std::lock_guard<std::mutex> lock(mu);
+      AbsorbProbeStats(probe.probe, state);
+      MaybeUpdateIncumbent(probe.probe, ratio, state, &tie);
+    }
+  });
+  // The control can also fire inside the *last* ratio's probe, truncating
+  // its descent with no further claim to notice; without this check the
+  // solve would claim proven optimality it doesn't have.
   if (state->control != nullptr && state->control->stopped()) {
     FinishInterrupted(state, nullptr);
   }
@@ -593,23 +454,21 @@ template <typename G>
 RatioProbeResult ProbeRatio(const G& g,
                             const std::vector<VertexId>& s_candidates,
                             const std::vector<VertexId>& t_candidates,
-                            const Fraction& ratio, double lower_start,
-                            double upper_start, double delta,
-                            bool refine_cores, bool record_sizes,
-                            double stop_below, ProbeWorkspace* workspace,
-                            bool incremental, FlowEngine engine,
-                            SolveControl* control) {
-  CHECK_GT(delta, 0.0);
+                            const ProbeWindow& window,
+                            const ExactOptions& options,
+                            ProbeWorkspace* workspace, SolveControl* control) {
+  CHECK_GT(window.delta, 0.0);
   ProbeWorkspace local_workspace;
   if (workspace == nullptr) workspace = &local_workspace;
   RatioProbeResult result;
-  result.last_feasible = lower_start;
-  result.h_upper = upper_start;
-  if (upper_start <= lower_start) return result;
+  result.last_feasible = window.lower_start;
+  result.h_upper = window.upper_start;
+  if (window.upper_start <= window.lower_start) return result;
 
-  const double sqrt_a = std::sqrt(ratio.ToDouble());
-  double l = lower_start;
-  double u = upper_start;
+  const bool refine_cores = options.refine_cores_in_probe;
+  const double sqrt_a = std::sqrt(window.ratio.ToDouble());
+  double l = window.lower_start;
+  double u = window.upper_start;
   std::vector<VertexId> cur_s = s_candidates;
   std::vector<VertexId> cur_t = t_candidates;
 
@@ -644,19 +503,19 @@ RatioProbeResult ProbeRatio(const G& g,
     return true;
   };
 
-  while (u - l >= delta && u > stop_below) {
+  while (u - l >= window.delta && u > window.stop_below) {
     if (control != nullptr) {
       DdsProgress progress;
       progress.lower_bound = result.best_density;  // probe-local witness
       progress.upper_bound = u;
-      progress.binary_search_iters = result.iterations;
+      progress.binary_search_iters = result.flow.binary_search_iters;
       progress.elapsed_seconds = control->ElapsedSeconds();
       // Exit before the next min cut; u and l stay certified (see header).
       if (control->ShouldStop(progress)) break;
     }
     const double guess = 0.5 * (l + u);
     if (guess <= l || guess >= u) break;  // double precision exhausted
-    ++result.iterations;
+    ++result.flow.binary_search_iters;
 
     // The maximizer of the linearized objective at value > guess has
     // S-side (weighted) degrees > guess/(2 sqrt a) and T-side degrees >
@@ -693,22 +552,24 @@ RatioProbeResult ProbeRatio(const G& g,
       for (VertexId v : built_s) workspace->built_s_marks.Insert(v);
       for (VertexId v : built_t) workspace->built_t_marks.Insert(v);
     }
-    const bool reuse = incremental && network_sufficient;
+    const bool reuse = options.incremental_probe && network_sufficient;
     if (reuse) {
       // Only the two sink-arc capacity families depend on the guess:
       // retarget them in O(|A|+|B|), keeping the feasible part of the
       // previous flow, instead of rebuilding O(nodes + arcs).
       network.Reparameterize(guess);
-      ++result.networks_reused;
+      ++result.flow.flow_networks_reused;
     } else {
       network = BuildDdsNetwork(g, built_s, built_t, sqrt_a, guess,
                                 &workspace->build_scratch);
       network_valid = true;
-      ++result.networks_built;
+      ++result.flow.flow_networks_built;
     }
-    result.max_network_nodes =
-        std::max<int64_t>(result.max_network_nodes, network.NumNodes());
-    if (record_sizes) result.network_sizes.push_back(network.NumNodes());
+    result.flow.max_network_nodes =
+        std::max<int64_t>(result.flow.max_network_nodes, network.NumNodes());
+    if (options.record_network_sizes) {
+      result.flow.network_sizes.push_back(network.NumNodes());
+    }
     if (network.num_pair_edges == 0) {
       // No candidate pair edge in the network: every positive guess over
       // these candidates is infeasible.
@@ -719,27 +580,27 @@ RatioProbeResult ProbeRatio(const G& g,
     // fresh solves push-relabel only on networks big enough for its setup
     // cost to pay off (flow_engine.h's E2/E8-calibrated cutoff).
     const bool use_push_relabel =
-        engine == FlowEngine::kPushRelabel ||
-        (engine == FlowEngine::kAuto && !reuse &&
+        options.flow_engine == FlowEngine::kPushRelabel ||
+        (options.flow_engine == FlowEngine::kAuto && !reuse &&
          network.net.NumArcs() >= kAutoPushRelabelMinArcs);
     if (use_push_relabel) {
       if (reuse) network.net.ResetFlow();  // push-relabel has no warm start
       push_relabel.Solve(network.source, network.sink);
-      result.arcs_scanned += push_relabel.arcs_scanned();
-      result.global_relabels += push_relabel.num_global_relabels();
-      ++result.flow_solves_push_relabel;
+      result.flow.arcs_scanned += push_relabel.arcs_scanned();
+      result.flow.global_relabels += push_relabel.num_global_relabels();
+      ++result.flow.flow_solves_push_relabel;
     } else if (reuse) {
       const int64_t augmentations_before = dinic.num_augmentations();
       const int64_t arcs_before = dinic.arcs_scanned();
       dinic.Resolve(network.source, network.sink);
-      result.warm_start_augmentations +=
+      result.flow.warm_start_augmentations +=
           dinic.num_augmentations() - augmentations_before;
-      result.arcs_scanned += dinic.arcs_scanned() - arcs_before;
-      ++result.flow_solves_dinic;
+      result.flow.arcs_scanned += dinic.arcs_scanned() - arcs_before;
+      ++result.flow.flow_solves_dinic;
     } else {
       dinic.Solve(network.source, network.sink);
-      result.arcs_scanned += dinic.arcs_scanned();
-      ++result.flow_solves_dinic;
+      result.flow.arcs_scanned += dinic.arcs_scanned();
+      ++result.flow.flow_solves_dinic;
     }
     const std::vector<bool> side =
         SourceSideOfMinCut(network.net, network.source);
@@ -782,8 +643,8 @@ DdsSolution SolveExactDds(const G& g, const ExactOptions& options,
   if (g.TotalWeight() == 0) return solution;
 
   // One pool for the whole solve: the warm start's skyline walk and the
-  // ratio-space search share it. threads = 1 spawns nothing and every
-  // phase runs the historical sequential code inline.
+  // ratio-space search share it. threads = 1 spawns nothing and runs
+  // every phase inline on the caller.
   ThreadPool pool(options.threads);
 
   EngineState<G> state;
@@ -809,12 +670,10 @@ DdsSolution SolveExactDds(const G& g, const ExactOptions& options,
     }
   }
 
-  const bool parallel = pool.num_workers() > 1;
   if (options.divide_and_conquer) {
-    parallel ? RunDivideAndConquerParallel(&state, &pool)
-             : RunDivideAndConquer(&state);
+    RunDivideAndConquer(&state, &pool);
   } else {
-    parallel ? RunExhaustiveParallel(&state, &pool) : RunExhaustive(&state);
+    RunExhaustive(&state, &pool);
   }
 
   solution.pair = std::move(state.incumbent);
@@ -836,12 +695,12 @@ template double ExactSearchDelta<Digraph>(const Digraph&);
 template double ExactSearchDelta<WeightedDigraph>(const WeightedDigraph&);
 template RatioProbeResult ProbeRatio<Digraph>(
     const Digraph&, const std::vector<VertexId>&,
-    const std::vector<VertexId>&, const Fraction&, double, double, double,
-    bool, bool, double, ProbeWorkspace*, bool, FlowEngine, SolveControl*);
+    const std::vector<VertexId>&, const ProbeWindow&, const ExactOptions&,
+    ProbeWorkspace*, SolveControl*);
 template RatioProbeResult ProbeRatio<WeightedDigraph>(
     const WeightedDigraph&, const std::vector<VertexId>&,
-    const std::vector<VertexId>&, const Fraction&, double, double, double,
-    bool, bool, double, ProbeWorkspace*, bool, FlowEngine, SolveControl*);
+    const std::vector<VertexId>&, const ProbeWindow&, const ExactOptions&,
+    ProbeWorkspace*, SolveControl*);
 template DdsSolution SolveExactDds<Digraph>(const Digraph&,
                                             const ExactOptions&,
                                             SolveControl*, ProbeWorkspace*);
@@ -849,14 +708,5 @@ template DdsSolution SolveExactDds<WeightedDigraph>(const WeightedDigraph&,
                                                     const ExactOptions&,
                                                     SolveControl*,
                                                     ProbeWorkspace*);
-
-DdsSolution CoreExact(const Digraph& g) {
-  return SolveExactDds(g, ExactOptions{});
-}
-
-DdsSolution DcExact(const Digraph& g) {
-  return SolveExactDds(
-      g, ExactPresetFor(DdsAlgorithm::kDcExact, ExactOptions{}));
-}
 
 }  // namespace ddsgraph

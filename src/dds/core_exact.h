@@ -85,21 +85,19 @@ struct ExactOptions {
   /// materializes O(n^2) fractions.
   int64_t max_exhaustive_n = 2000;
   /// Worker count for the ratio-space search (util/thread_pool.h,
-  /// DESIGN.md §11). With threads > 1 the divide-and-conquer interval
-  /// stack becomes a work-sharing loop (independent intervals probed
-  /// concurrently against an atomic shared incumbent, one
-  /// ProbeWorkspace per worker) and the exhaustive enumeration fans its
-  /// ratios across the pool. The returned density is the exact optimum
-  /// either way — pruning against a stale incumbent is only ever
-  /// conservative. When the max-density witness is unique the returned
-  /// pair is that witness, identical to the sequential solve's; a graph
-  /// with several optimum pairs can return any of them (the
+  /// DESIGN.md §11). The divide-and-conquer interval stack is a
+  /// work-sharing loop (independent intervals probed concurrently against
+  /// a shared incumbent, one ProbeWorkspace per worker) and the exhaustive
+  /// enumeration fans its ratios across the pool; at 1 (the default) the
+  /// same loops run inline on the caller. The returned density is the
+  /// exact optimum at every thread count — pruning against a stale
+  /// incumbent is only ever conservative. When the max-density witness is
+  /// unique the returned pair is that witness; a graph with several
+  /// optimum pairs can return any of them once threads > 1 (the
   /// lowest-probe-ratio tie-break removes dependence on witness
   /// *reporting* order, but which witnesses get reported at all depends
-  /// on pruning against the evolving incumbent and is
-  /// schedule-dependent, as are the SolverStats trajectory counters). 1
-  /// (the default) runs the historical sequential search,
-  /// bit-identically.
+  /// on pruning against the evolving incumbent and is schedule-dependent,
+  /// as are the SolverStats trajectory counters).
   int threads = 1;
 };
 
@@ -114,23 +112,25 @@ struct RatioProbeResult {
   /// Best extracted pair by true density (may be empty).
   DdsPair best_pair;
   double best_density = 0;
-  int64_t iterations = 0;
-  int64_t networks_built = 0;
-  /// Guesses served by reparameterizing the existing network instead of
-  /// rebuilding it (always 0 when the probe runs non-incrementally).
-  int64_t networks_reused = 0;
-  /// Augmenting paths pushed by warm-started re-solves.
-  int64_t warm_start_augmentations = 0;
-  /// Residual arcs examined by the max-flow kernels across all guesses.
-  int64_t arcs_scanned = 0;
-  /// Global relabels performed by push-relabel solves.
-  int64_t global_relabels = 0;
-  /// Max-flow solves answered by each kernel (what `auto` actually ran).
-  int64_t flow_solves_dinic = 0;
-  int64_t flow_solves_push_relabel = 0;
-  int64_t max_network_nodes = 0;
-  /// Per-network node counts; filled only when record_sizes is set.
-  std::vector<int64_t> network_sizes;
+  /// The probe's flow work; `flow_networks_reused` stays 0 when the probe
+  /// runs non-incrementally, and `network_sizes` is filled only under
+  /// ExactOptions::record_network_sizes.
+  FlowCounters flow;
+};
+
+/// The search window of one ProbeRatio call.
+struct ProbeWindow {
+  Fraction ratio;
+  /// A value below which the search need not certify anything (0 for a
+  /// full h(a) computation).
+  double lower_start = 0;
+  /// A certified upper bound on the max linearized density.
+  double upper_start = 0;
+  /// Termination gap (see ExactSearchDelta).
+  double delta = 0;
+  /// Truncates the descent: once the upper bound u falls to or below it,
+  /// the probe exits early with h_upper = u.
+  double stop_below = 0;
 };
 
 /// Reusable state shared by every probe of a solve: the epoch-stamped
@@ -149,56 +149,51 @@ struct ProbeWorkspace {
   XyCoreScratch refine_scratch;
 };
 
-/// Binary search with min-cut feasibility tests at a fixed `ratio`,
-/// restricted to the given candidate sides. `lower_start` is a value below
-/// which the search need not certify anything (pass 0 for a full h(a)
-/// computation); `upper_start` must be a certified upper bound on the max
-/// linearized density. `delta` is the termination gap (see
-/// ExactSearchDelta). `stop_below` lets the caller truncate the descent:
-/// once the upper bound u falls to or below it, the probe exits early with
-/// h_upper = u — the divide-and-conquer engine passes incumbent /
+/// Binary search with min-cut feasibility tests at `window.ratio`,
+/// restricted to the given candidate sides, from `window.lower_start` up
+/// to `window.upper_start` until the gap closes below `window.delta`. The
+/// divide-and-conquer engine passes `stop_below` = incumbent /
 /// phi(interval), the weakest bound that still lets both adjacent
-/// subintervals be pruned.
+/// subintervals be pruned. Of `options`, only the probe-engine knobs are
+/// read: `refine_cores_in_probe`, `record_network_sizes`,
+/// `incremental_probe` and `flow_engine`.
 ///
-/// With `incremental` set (the default), the probe runs on the parametric
-/// engine: a network is kept across guesses and retargeted to each new
-/// one with Reparameterize, warm-starting the flow from the previous
-/// residual state. When the guess rises the per-guess core shrinks and
-/// the sink capacities only grow, so the network stays valid and the old
-/// max flow stays feasible; when the guess falls below every previously
-/// built level the core can outgrow the network's node set, and only then
-/// is the network rebuilt (DESIGN.md §7). `incremental = false` rebuilds
-/// and re-solves from scratch at every guess over the *same* candidate
-/// sets; both modes follow identical search trajectories (same guesses,
-/// same node sets, same minimal min cuts, hence identical witnesses),
-/// which the equivalence tests assert bit-exactly.
+/// With `incremental_probe` set (the default), the probe runs on the
+/// parametric engine: a network is kept across guesses and retargeted to
+/// each new one with Reparameterize, warm-starting the flow from the
+/// previous residual state. When the guess rises the per-guess core
+/// shrinks and the sink capacities only grow, so the network stays valid
+/// and the old max flow stays feasible; when the guess falls below every
+/// previously built level the core can outgrow the network's node set,
+/// and only then is the network rebuilt (DESIGN.md §7). Without it the
+/// probe rebuilds and re-solves from scratch at every guess over the
+/// *same* candidate sets; both modes follow identical search trajectories
+/// (same guesses, same node sets, same minimal min cuts, hence identical
+/// witnesses), which the equivalence tests assert bit-exactly.
 ///
 /// `control`, when non-null, is checked before every guess; once it fires
 /// the probe exits immediately. The returned h_upper (the current `u`) is
 /// still a certified upper bound — u only ever decreased under certified
 /// infeasibility — and last_feasible / best_pair are still witnessed, so a
 /// truncated probe degrades gracefully to a looser but valid certificate.
+/// A null `workspace` runs on private scratch.
 template <typename G>
 RatioProbeResult ProbeRatio(const G& g,
                             const std::vector<VertexId>& s_candidates,
                             const std::vector<VertexId>& t_candidates,
-                            const Fraction& ratio, double lower_start,
-                            double upper_start, double delta,
-                            bool refine_cores, bool record_sizes,
-                            double stop_below = 0.0,
+                            const ProbeWindow& window,
+                            const ExactOptions& options,
                             ProbeWorkspace* workspace = nullptr,
-                            bool incremental = true,
-                            FlowEngine engine = FlowEngine::kAuto,
                             SolveControl* control = nullptr);
 
 extern template RatioProbeResult ProbeRatio<Digraph>(
     const Digraph&, const std::vector<VertexId>&,
-    const std::vector<VertexId>&, const Fraction&, double, double, double,
-    bool, bool, double, ProbeWorkspace*, bool, FlowEngine, SolveControl*);
+    const std::vector<VertexId>&, const ProbeWindow&, const ExactOptions&,
+    ProbeWorkspace*, SolveControl*);
 extern template RatioProbeResult ProbeRatio<WeightedDigraph>(
     const WeightedDigraph&, const std::vector<VertexId>&,
-    const std::vector<VertexId>&, const Fraction&, double, double, double,
-    bool, bool, double, ProbeWorkspace*, bool, FlowEngine, SolveControl*);
+    const std::vector<VertexId>&, const ProbeWindow&, const ExactOptions&,
+    ProbeWorkspace*, SolveControl*);
 
 /// Termination gap for the binary searches: below the minimum spacing of
 /// distinct (linearized) density values, clamped to [1e-12, 1e-4]. For
@@ -221,7 +216,7 @@ extern template double ExactSearchDelta<WeightedDigraph>(
 /// `[lower_bound, upper_bound]` bracket of the optimum — the lower bound
 /// is the incumbent's exactly evaluated density, the upper bound is the
 /// max of the interval bounds still outstanding (capped by the global
-/// bound). These semantics survive `threads > 1`: the control is
+/// bound). These semantics hold at every thread count: the control is
 /// thread-safe, a truncated probe still returns certified bounds, every
 /// in-flight interval deposits its subintervals on the shared stack
 /// before its worker exits, and the anytime bound is derived from the
@@ -247,13 +242,6 @@ extern template DdsSolution SolveExactDds<Digraph>(const Digraph&,
 extern template DdsSolution SolveExactDds<WeightedDigraph>(
     const WeightedDigraph&, const ExactOptions&, SolveControl*,
     ProbeWorkspace*);
-
-/// The paper's exact algorithm: all optimizations enabled.
-DdsSolution CoreExact(const Digraph& g);
-
-/// Divide and conquer only (no core pruning, no warm start) — the middle
-/// rung of the ablation ladder.
-DdsSolution DcExact(const Digraph& g);
 
 }  // namespace ddsgraph
 

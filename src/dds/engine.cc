@@ -6,7 +6,6 @@
 
 #include "core/core_approx.h"
 #include "dds/density.h"
-#include "dds/flow_exact.h"
 #include "dds/lp_exact.h"
 #include "dds/naive_exact.h"
 #include "util/logging.h"

@@ -69,16 +69,15 @@ struct DdsRequest {
   /// Worker count for the parallel solve layer (util/thread_pool.h,
   /// DESIGN.md §11): fans the peel ladder, the batch-peel threshold
   /// scans, the core-approx skyline walk and the exact ratio-space
-  /// search across this many shared-memory workers. 1 (the default) is
-  /// the historical sequential behavior, bit-identically. The
-  /// approximations return bit-identical solutions for every thread
-  /// count; the exact solvers return the same optimum density, and the
-  /// same pair as the sequential solve whenever the max-density witness
-  /// is unique (equal-density witnesses resolve deterministically to the
-  /// lowest probe ratio, which can differ from the sequential
-  /// first-witness order) — trajectory counters are schedule-dependent
-  /// either way. naive-exact and
-  /// lp-exact run single-threaded regardless (small-graph certifiers).
+  /// search across this many shared-memory workers; 1 (the default) runs
+  /// the same code inline on the calling thread. The approximations
+  /// return bit-identical solutions for every thread count; the exact
+  /// solvers return the same optimum density at every count, and the same
+  /// pair whenever the max-density witness is unique (equal-density
+  /// witnesses resolve to the lowest probe ratio among those reported) —
+  /// above one worker the trajectory counters are schedule-dependent.
+  /// naive-exact and lp-exact run single-threaded regardless
+  /// (small-graph certifiers).
   /// Must be >= 1. The engine clamps the count to the probed hardware
   /// concurrency before dispatch — CPU-bound peels and probes only lose
   /// to oversubscription (interleaved passes thrash the cache), and a

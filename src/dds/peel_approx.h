@@ -38,7 +38,7 @@ struct PeelApproxOptions {
   /// across `threads` workers and the winners merged with the sequential
   /// tie-break (equal density -> lowest rung index). Results are
   /// bit-identical for every thread count; 1 (the default) runs the
-  /// historical sequential loop.
+  /// ladder inline on the caller.
   int threads = 1;
 };
 

@@ -1,6 +1,7 @@
 #ifndef DDSGRAPH_DDS_RESULT_H_
 #define DDSGRAPH_DDS_RESULT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,10 +13,10 @@
 
 namespace ddsgraph {
 
-/// Counters describing the work a solver performed; the ablation and
-/// network-size experiments (E6-E8) are reported from these.
-struct SolverStats {
-  int64_t ratios_probed = 0;         ///< ratio values evaluated with flows
+/// The flow work of ratio probes. RatioProbeResult carries one per probe
+/// and SolverStats derives from it, so a solve absorbs a probe with one
+/// `+=`.
+struct FlowCounters {
   int64_t flow_networks_built = 0;   ///< networks constructed from scratch
   int64_t flow_networks_reused = 0;  ///< min-cuts on a reparameterized net
   /// Augmenting paths pushed by warm-started re-solves — the incremental
@@ -31,6 +32,31 @@ struct SolverStats {
   int64_t flow_solves_push_relabel = 0;
   int64_t binary_search_iters = 0;   ///< total guesses across all ratios
   int64_t max_network_nodes = 0;     ///< largest flow network constructed
+  /// Node count of each flow network in construction order (E8 traces).
+  std::vector<int64_t> network_sizes;
+
+  /// Sums the counters, keeps the larger max_network_nodes and appends
+  /// `other.network_sizes`.
+  FlowCounters& operator+=(const FlowCounters& other) {
+    flow_networks_built += other.flow_networks_built;
+    flow_networks_reused += other.flow_networks_reused;
+    warm_start_augmentations += other.warm_start_augmentations;
+    arcs_scanned += other.arcs_scanned;
+    global_relabels += other.global_relabels;
+    flow_solves_dinic += other.flow_solves_dinic;
+    flow_solves_push_relabel += other.flow_solves_push_relabel;
+    binary_search_iters += other.binary_search_iters;
+    max_network_nodes = std::max(max_network_nodes, other.max_network_nodes);
+    network_sizes.insert(network_sizes.end(), other.network_sizes.begin(),
+                         other.network_sizes.end());
+    return *this;
+  }
+};
+
+/// Counters describing the work a solver performed; the ablation and
+/// network-size experiments (E6-E8) are reported from these.
+struct SolverStats : FlowCounters {
+  int64_t ratios_probed = 0;         ///< ratio values evaluated with flows
   int64_t intervals_pruned = 0;      ///< D&C intervals discarded by bounds
   /// Number of earlier workspace-using solves whose long-lived scratch
   /// (ProbeWorkspace, epoch sets) this solve inherited: 0 for a one-shot
@@ -39,8 +65,6 @@ struct SolverStats {
   /// (approximations, naive/lp) do not advance it. This is how
   /// engine-level workspace amortization is observable.
   int64_t prior_engine_solves = 0;
-  /// Node count of each flow network in construction order (E8 traces).
-  std::vector<int64_t> network_sizes;
   double seconds = 0;                ///< wall time of the solve
   /// Serving-path latency split (dds_server / RequestScheduler): wall
   /// milliseconds the request waited in the admission queue before a

@@ -43,8 +43,9 @@ bool IsExactAlgorithm(DdsAlgorithm algorithm);
 /// conquer on/off, no core pruning, no per-guess refinement, no warm
 /// start) while preserving the engine knobs (incremental_probe,
 /// record_network_sizes, max_exhaustive_n). Identity for the other
-/// algorithms. The single source of preset truth for both DdsEngine and
-/// the FlowExact / DcExact free functions.
+/// algorithms. The single source of preset truth: DdsEngine runs
+/// kFlowExact / kDcExact as `SolveExactDds(g, ExactPresetFor(algo,
+/// options))`, and one-shot callers do the same.
 ExactOptions ExactPresetFor(DdsAlgorithm algorithm, ExactOptions base);
 
 /// One-line human-readable summary of a solution.

@@ -18,7 +18,6 @@
 #include "dds/core_exact.h"               // IWYU pragma: export
 #include "dds/density.h"                  // IWYU pragma: export
 #include "dds/engine.h"                   // IWYU pragma: export
-#include "dds/flow_exact.h"               // IWYU pragma: export
 #include "dds/lp_exact.h"                 // IWYU pragma: export
 #include "dds/naive_exact.h"              // IWYU pragma: export
 #include "dds/peel_approx.h"              // IWYU pragma: export

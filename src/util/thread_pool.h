@@ -19,9 +19,9 @@
 /// deliberately simple: `threads` workers total, where the *calling*
 /// thread is worker 0 and `threads - 1` spawned threads are workers
 /// 1..threads-1. A pool of size <= 1 spawns nothing and runs every
-/// operation inline on the caller, which is how `threads = 1` (the
-/// default everywhere) stays bit-identical to — and exactly as fast as —
-/// the historical single-threaded code paths.
+/// operation inline on the caller, so each solver has one code path and
+/// `threads = 1` (the default everywhere) is simply that path on one
+/// worker.
 ///
 /// Determinism contract: the pool schedules *which worker* computes each
 /// work item dynamically (atomic counter), but callers are expected to

@@ -91,7 +91,7 @@ TEST(DdsEngineTest, AllAlgorithmsReachableAndAgreeWithFreeFunctions) {
 TEST(DdsEngineTest, RepeatSolveReusesWorkspaceAndIsBitIdentical) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     const Digraph g = UniformDigraph(24, 110, seed);
-    const DdsSolution one_shot = CoreExact(g);
+    const DdsSolution one_shot = SolveExactDds(g, ExactOptions{});
     DdsEngine engine(g);
     DdsRequest request;
     request.algorithm = DdsAlgorithm::kCoreExact;
@@ -443,7 +443,7 @@ TEST(AnytimeTest, WeightedDeadlineTruncationIsCertified) {
 // the next full solve still returns the exact answer.
 TEST(AnytimeTest, EngineRecoversAfterInterruptedSolve) {
   const Digraph g = UniformDigraph(12, 50, 9);
-  const DdsSolution one_shot = CoreExact(g);
+  const DdsSolution one_shot = SolveExactDds(g, ExactOptions{});
   DdsEngine engine(g);
   DdsRequest truncated;
   truncated.algorithm = DdsAlgorithm::kCoreExact;

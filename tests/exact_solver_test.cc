@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "dds/core_exact.h"
-#include "dds/flow_exact.h"
 #include "dds/lp_exact.h"
 #include "dds/naive_exact.h"
+#include "dds/solver.h"
 #include "graph/generators.h"
 #include "util/random.h"
 
@@ -26,22 +26,28 @@ void ExpectValidSolution(const Digraph& g, const DdsSolution& sol) {
 
 TEST(FlowExactTest, SingleEdge) {
   const Digraph g = Digraph::FromEdges(2, {{0, 1}});
-  const DdsSolution sol = FlowExact(g);
+  const DdsSolution sol = SolveExactDds(
+      g, ExactPresetFor(DdsAlgorithm::kFlowExact, ExactOptions{}));
   EXPECT_NEAR(sol.density, 1.0, kExactTol);
   ExpectValidSolution(g, sol);
 }
 
 TEST(FlowExactTest, EmptyGraph) {
-  EXPECT_EQ(FlowExact(Digraph::FromEdges(3, {})).density, 0.0);
+  EXPECT_EQ(SolveExactDds(Digraph::FromEdges(3, {}),
+                          ExactPresetFor(DdsAlgorithm::kFlowExact,
+                                         ExactOptions{}))
+                .density,
+            0.0);
 }
 
 TEST(CoreExactTest, EmptyGraph) {
-  EXPECT_EQ(CoreExact(Digraph::FromEdges(3, {})).density, 0.0);
+  EXPECT_EQ(SolveExactDds(Digraph::FromEdges(3, {}), ExactOptions{}).density,
+            0.0);
 }
 
 TEST(CoreExactTest, Biclique) {
   const Digraph g = BicliqueWithNoise(9, 4, 5, 0, 1);
-  const DdsSolution sol = CoreExact(g);
+  const DdsSolution sol = SolveExactDds(g, ExactOptions{});
   EXPECT_NEAR(sol.density, std::sqrt(20.0), kExactTol);
   EXPECT_EQ(sol.pair.s.size(), 4u);
   EXPECT_EQ(sol.pair.t.size(), 5u);
@@ -53,7 +59,7 @@ TEST(CoreExactTest, AsymmetricStarBeatsSymmetricReading) {
   std::vector<Edge> edges;
   for (VertexId v = 1; v <= 7; ++v) edges.push_back({0, v});
   const Digraph g = Digraph::FromEdges(8, edges);
-  const DdsSolution sol = CoreExact(g);
+  const DdsSolution sol = SolveExactDds(g, ExactOptions{});
   EXPECT_NEAR(sol.density, std::sqrt(7.0), kExactTol);
   EXPECT_EQ(sol.pair.s.size(), 1u);
   EXPECT_EQ(sol.pair.t.size(), 7u);
@@ -87,7 +93,8 @@ class ExactAgreementTest
 TEST_P(ExactAgreementTest, FlowExactMatchesNaive) {
   const Digraph g = MakeGraph();
   const DdsSolution naive = NaiveExact(g);
-  const DdsSolution flow = FlowExact(g);
+  const DdsSolution flow = SolveExactDds(
+      g, ExactPresetFor(DdsAlgorithm::kFlowExact, ExactOptions{}));
   EXPECT_NEAR(flow.density, naive.density, kExactTol);
   ExpectValidSolution(g, flow);
 }
@@ -95,7 +102,8 @@ TEST_P(ExactAgreementTest, FlowExactMatchesNaive) {
 TEST_P(ExactAgreementTest, DcExactMatchesNaive) {
   const Digraph g = MakeGraph();
   const DdsSolution naive = NaiveExact(g);
-  const DdsSolution dc = DcExact(g);
+  const DdsSolution dc = SolveExactDds(
+      g, ExactPresetFor(DdsAlgorithm::kDcExact, ExactOptions{}));
   EXPECT_NEAR(dc.density, naive.density, kExactTol);
   ExpectValidSolution(g, dc);
 }
@@ -103,7 +111,7 @@ TEST_P(ExactAgreementTest, DcExactMatchesNaive) {
 TEST_P(ExactAgreementTest, CoreExactMatchesNaive) {
   const Digraph g = MakeGraph();
   const DdsSolution naive = NaiveExact(g);
-  const DdsSolution core = CoreExact(g);
+  const DdsSolution core = SolveExactDds(g, ExactOptions{});
   EXPECT_NEAR(core.density, naive.density, kExactTol);
   ExpectValidSolution(g, core);
 }
@@ -250,7 +258,7 @@ TEST(FlowEngineTest, AutoStaysOnDinicForSmallNetworks) {
 TEST(CoreExactTest, RecoversPlantedBlock) {
   const PlantedDigraph planted =
       PlantedDenseBlock(120, 240, 8, 12, 1.0, 5);
-  const DdsSolution sol = CoreExact(planted.graph);
+  const DdsSolution sol = SolveExactDds(planted.graph, ExactOptions{});
   const double planted_density = DirectedDensity(
       planted.graph, planted.planted_s, planted.planted_t);
   EXPECT_GE(sol.density + kExactTol, planted_density);
@@ -262,8 +270,9 @@ TEST(CoreExactTest, RecoversPlantedBlock) {
 TEST(CoreExactTest, EngineVariantsAgreeOnMediumGraphs) {
   for (uint64_t seed : {1ull, 2ull}) {
     const Digraph g = RmatDigraph(6, 400, seed);
-    const DdsSolution dc = DcExact(g);
-    const DdsSolution core = CoreExact(g);
+    const DdsSolution dc = SolveExactDds(
+        g, ExactPresetFor(DdsAlgorithm::kDcExact, ExactOptions{}));
+    const DdsSolution core = SolveExactDds(g, ExactOptions{});
     EXPECT_NEAR(dc.density, core.density, kExactTol) << "seed " << seed;
   }
 }
@@ -283,8 +292,9 @@ TEST(CoreExactTest, StatsAreFilled) {
 
 TEST(CoreExactTest, CoreExactProbesFewerRatiosThanFlowExact) {
   const Digraph g = UniformDigraph(24, 120, 8);
-  const DdsSolution flow = FlowExact(g);
-  const DdsSolution core = CoreExact(g);
+  const DdsSolution flow = SolveExactDds(
+      g, ExactPresetFor(DdsAlgorithm::kFlowExact, ExactOptions{}));
+  const DdsSolution core = SolveExactDds(g, ExactOptions{});
   EXPECT_NEAR(flow.density, core.density, kExactTol);
   // The headline claim at miniature scale: D&C probes far fewer ratios.
   EXPECT_LT(core.stats.ratios_probed, flow.stats.ratios_probed / 4);

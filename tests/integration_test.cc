@@ -79,7 +79,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(IntegrationTest, WeightedAndUnweightedPipelinesAgreeOnUnitWeights) {
   const Digraph g = RmatDigraph(5, 150, 3);
   const WeightedDigraph wg = WeightedDigraph::FromDigraph(g);
-  EXPECT_NEAR(CoreExact(g).density,
+  EXPECT_NEAR(SolveExactDds(g, ExactOptions{}).density,
               SolveExactDds(wg, ExactOptions{}).density, 1e-6);
   EXPECT_NEAR(CoreApprox(g).density, CoreApprox(wg).density, 1e-9);
 }
@@ -90,7 +90,8 @@ TEST(IntegrationTest, SnapRoundTripPreservesSolverOutput) {
   ASSERT_TRUE(SaveSnapEdgeList(g, path).ok());
   const auto loaded = LoadSnapEdgeList(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_NEAR(CoreExact(g).density, CoreExact(loaded.value().graph).density,
+  EXPECT_NEAR(SolveExactDds(g, ExactOptions{}).density,
+              SolveExactDds(loaded.value().graph, ExactOptions{}).density,
               1e-9);
 }
 
@@ -98,13 +99,13 @@ TEST(IntegrationTest, SubgraphOfSolutionHasSameDensity) {
   // Inducing the pair-restricted subgraph of the optimum and re-solving
   // returns at least the same density (the optimum is self-contained).
   const Digraph g = RmatDigraph(6, 350, 8);
-  const DdsSolution sol = CoreExact(g);
+  const DdsSolution sol = SolveExactDds(g, ExactOptions{});
   std::vector<bool> keep_s(g.NumVertices(), false);
   std::vector<bool> keep_t(g.NumVertices(), false);
   for (VertexId u : sol.pair.s) keep_s[u] = true;
   for (VertexId v : sol.pair.t) keep_t[v] = true;
   const InducedSubgraph sub = InducePair(g, keep_s, keep_t);
-  const DdsSolution sub_sol = CoreExact(sub.graph);
+  const DdsSolution sub_sol = SolveExactDds(sub.graph, ExactOptions{});
   EXPECT_NEAR(sub_sol.density, sol.density, 1e-6);
 }
 

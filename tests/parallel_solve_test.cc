@@ -237,7 +237,7 @@ TEST(ParallelSolveTest, DirectParallelSolveHonorsCancellation) {
   // Cancellation via a shared thread-safe SolveControl with real worker
   // threads (no facade clamp): the bracket must stay certified.
   const Digraph g = UniformDigraph(40, 220, 7);
-  const double optimum = CoreExact(g).density;
+  const double optimum = SolveExactDds(g, ExactOptions{}).density;
   for (const int64_t budget : {1, 5, 25}) {
     ExactOptions options;
     options.threads = 4;
@@ -282,7 +282,7 @@ TEST(ParallelSolveTest, CancellationViaCallbackUnderThreadsBracketsOptimum) {
       const Digraph g = UniformDigraph(40, 220, 7);
       // Too large for NaiveExact; the sequential exact solve (validated
       // against NaiveExact elsewhere) is the optimum reference.
-      const double optimum = CoreExact(g).density;
+      const double optimum = SolveExactDds(g, ExactOptions{}).density;
       DdsEngine engine(g);
       DdsRequest request;
       request.algorithm = DdsAlgorithm::kCoreExact;

@@ -214,16 +214,17 @@ void ExpectProbesIdentical(const G& g, const Fraction& ratio,
   const double upper = std::sqrt(static_cast<double>(g.TotalWeight()) *
                                  static_cast<double>(g.MaxEdgeWeight()));
   const double delta = ExactSearchDelta(g);
+  const ProbeWindow window{ratio, 0.0, upper, delta};
+  ExactOptions options;
+  options.refine_cores_in_probe = refine_cores;
+  options.record_network_sizes = true;
   ProbeWorkspace incremental_ws;
   const RatioProbeResult incremental = ProbeRatio(
-      g, AllVertices(g), AllVertices(g), ratio, 0.0, upper, delta,
-      refine_cores, /*record_sizes=*/true, /*stop_below=*/0.0,
-      &incremental_ws, /*incremental=*/true);
+      g, AllVertices(g), AllVertices(g), window, options, &incremental_ws);
+  options.incremental_probe = false;
   ProbeWorkspace fresh_ws;
   const RatioProbeResult fresh = ProbeRatio(
-      g, AllVertices(g), AllVertices(g), ratio, 0.0, upper, delta,
-      refine_cores, /*record_sizes=*/true, /*stop_below=*/0.0, &fresh_ws,
-      /*incremental=*/false);
+      g, AllVertices(g), AllVertices(g), window, options, &fresh_ws);
 
   // Bit-identical trajectories: same guesses, same witnesses, same pairs.
   EXPECT_EQ(incremental.h_upper, fresh.h_upper);
@@ -231,15 +232,18 @@ void ExpectProbesIdentical(const G& g, const Fraction& ratio,
   EXPECT_EQ(incremental.best_density, fresh.best_density);
   EXPECT_EQ(incremental.best_pair.s, fresh.best_pair.s);
   EXPECT_EQ(incremental.best_pair.t, fresh.best_pair.t);
-  EXPECT_EQ(incremental.iterations, fresh.iterations);
-  EXPECT_EQ(incremental.network_sizes, fresh.network_sizes);
+  EXPECT_EQ(incremental.flow.binary_search_iters,
+            fresh.flow.binary_search_iters);
+  EXPECT_EQ(incremental.flow.network_sizes, fresh.flow.network_sizes);
   // The whole point: the incremental run reuses what the fresh run
   // rebuilds, solving a min cut at every guess either way.
-  EXPECT_EQ(fresh.networks_reused, 0);
-  EXPECT_EQ(incremental.networks_built + incremental.networks_reused,
-            fresh.networks_built);
-  if (fresh.networks_built > 1) {
-    EXPECT_LT(incremental.networks_built, fresh.networks_built);
+  EXPECT_EQ(fresh.flow.flow_networks_reused, 0);
+  EXPECT_EQ(incremental.flow.flow_networks_built +
+                incremental.flow.flow_networks_reused,
+            fresh.flow.flow_networks_built);
+  if (fresh.flow.flow_networks_built > 1) {
+    EXPECT_LT(incremental.flow.flow_networks_built,
+              fresh.flow.flow_networks_built);
   }
 }
 

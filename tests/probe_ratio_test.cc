@@ -15,14 +15,22 @@ std::vector<VertexId> AllVertices(const Digraph& g) {
   return all;
 }
 
+// Probes `window` over every vertex with the given probe-engine knobs.
+RatioProbeResult ProbeAll(const Digraph& g, const ProbeWindow& window,
+                          bool refine_cores, bool record_sizes) {
+  ExactOptions options;
+  options.refine_cores_in_probe = refine_cores;
+  options.record_network_sizes = record_sizes;
+  return ProbeRatio(g, AllVertices(g), AllVertices(g), window, options);
+}
+
 TEST(ProbeRatioTest, FindsOptimumAtItsOwnRatio) {
   // 3x5 biclique: optimum at ratio 3/5 with density sqrt(15).
   const Digraph g = BicliqueWithNoise(8, 3, 5, 0, 1);
   const double upper = std::sqrt(static_cast<double>(g.NumEdges()));
   const RatioProbeResult probe =
-      ProbeRatio(g, AllVertices(g), AllVertices(g), Fraction{3, 5}, 0.0,
-                 upper, ExactSearchDelta(g), /*refine_cores=*/false,
-                 /*record_sizes=*/false);
+      ProbeAll(g, {Fraction{3, 5}, 0.0, upper, ExactSearchDelta(g)},
+               /*refine_cores=*/false, /*record_sizes=*/false);
   EXPECT_NEAR(probe.best_density, std::sqrt(15.0), 1e-6);
   // h_upper must bracket the found value.
   EXPECT_GE(probe.h_upper + 1e-9, probe.best_density - 1e-6);
@@ -33,11 +41,9 @@ TEST(ProbeRatioTest, RefinedCoresGiveSameAnswer) {
   const double upper = std::sqrt(static_cast<double>(g.NumEdges()));
   for (const Fraction ratio : {Fraction{1, 2}, Fraction{1, 1}, Fraction{3, 2}}) {
     const RatioProbeResult plain =
-        ProbeRatio(g, AllVertices(g), AllVertices(g), ratio, 0.0, upper,
-                   ExactSearchDelta(g), false, false);
+        ProbeAll(g, {ratio, 0.0, upper, ExactSearchDelta(g)}, false, false);
     const RatioProbeResult refined =
-        ProbeRatio(g, AllVertices(g), AllVertices(g), ratio, 0.0, upper,
-                   ExactSearchDelta(g), true, false);
+        ProbeAll(g, {ratio, 0.0, upper, ExactSearchDelta(g)}, true, false);
     EXPECT_NEAR(plain.h_upper, refined.h_upper, 1e-6)
         << "ratio " << ratio.ToString();
     EXPECT_NEAR(plain.best_density, refined.best_density, 1e-6)
@@ -49,17 +55,18 @@ TEST(ProbeRatioTest, RefinedCoresShrinkNetworks) {
   const Digraph g = RmatDigraph(8, 4000, 21);
   const double upper = std::sqrt(static_cast<double>(g.NumEdges()));
   const RatioProbeResult plain =
-      ProbeRatio(g, AllVertices(g), AllVertices(g), Fraction{1, 1}, 0.0,
-                 upper, ExactSearchDelta(g), false, true);
+      ProbeAll(g, {Fraction{1, 1}, 0.0, upper, ExactSearchDelta(g)}, false,
+               true);
   const RatioProbeResult refined =
-      ProbeRatio(g, AllVertices(g), AllVertices(g), Fraction{1, 1}, 0.0,
-                 upper, ExactSearchDelta(g), true, true);
-  ASSERT_FALSE(plain.network_sizes.empty());
-  ASSERT_FALSE(refined.network_sizes.empty());
+      ProbeAll(g, {Fraction{1, 1}, 0.0, upper, ExactSearchDelta(g)}, true,
+               true);
+  ASSERT_FALSE(plain.flow.network_sizes.empty());
+  ASSERT_FALSE(refined.flow.network_sizes.empty());
   // The unrefined probe rebuilds full-size networks every iteration; the
   // refined one must end far smaller once the lower bound rises.
-  EXPECT_LT(refined.network_sizes.back(), plain.network_sizes.back() / 2);
-  EXPECT_LE(refined.max_network_nodes, plain.max_network_nodes);
+  EXPECT_LT(refined.flow.network_sizes.back(),
+            plain.flow.network_sizes.back() / 2);
+  EXPECT_LE(refined.flow.max_network_nodes, plain.flow.max_network_nodes);
 }
 
 TEST(ProbeRatioTest, WitnessedLowerBoundAcceleratesConvergence) {
@@ -69,18 +76,17 @@ TEST(ProbeRatioTest, WitnessedLowerBoundAcceleratesConvergence) {
   const Digraph g = UniformDigraph(40, 400, 3);
   const double upper = std::sqrt(static_cast<double>(g.NumEdges()));
   const RatioProbeResult from_zero =
-      ProbeRatio(g, AllVertices(g), AllVertices(g), Fraction{1, 1}, 0.0,
-                 upper, 1e-6, false, false);
+      ProbeAll(g, {Fraction{1, 1}, 0.0, upper, 1e-6}, false, false);
   EXPECT_GT(from_zero.last_feasible, 0.0);
   EXPECT_GE(from_zero.h_upper + 1e-9, from_zero.last_feasible);
   // log2(20 / 1e-6) would be ~24; witnesses should cut that down hard.
-  EXPECT_LE(from_zero.iterations, 15);
+  EXPECT_LE(from_zero.flow.binary_search_iters, 15);
 
   // A lower_start above h(a) just descends; its h_upper stays a valid
   // upper bound for everything the full search witnessed.
   const RatioProbeResult warm =
-      ProbeRatio(g, AllVertices(g), AllVertices(g), Fraction{1, 1},
-                 from_zero.best_density * 0.999, upper, 1e-6, false, false);
+      ProbeAll(g, {Fraction{1, 1}, from_zero.best_density * 0.999, upper, 1e-6},
+               false, false);
   EXPECT_GE(warm.h_upper + 1e-6, from_zero.last_feasible);
 }
 
@@ -91,23 +97,21 @@ TEST(ProbeRatioTest, StopBelowTruncatesDescent) {
   // h_upper a certified bound (>= h(a), here witnessed by last_feasible of
   // an untruncated probe).
   const RatioProbeResult full =
-      ProbeRatio(g, AllVertices(g), AllVertices(g), Fraction{1, 1}, 0.0,
-                 upper, 1e-6, false, false);
+      ProbeAll(g, {Fraction{1, 1}, 0.0, upper, 1e-6}, false, false);
   const double stop = full.h_upper + 1.0;
   const RatioProbeResult truncated =
-      ProbeRatio(g, AllVertices(g), AllVertices(g), Fraction{1, 1}, 0.0,
-                 upper, 1e-6, false, false, stop);
-  EXPECT_LT(truncated.iterations, full.iterations + 1);
+      ProbeAll(g, {Fraction{1, 1}, 0.0, upper, 1e-6, stop}, false, false);
+  EXPECT_LT(truncated.flow.binary_search_iters,
+            full.flow.binary_search_iters + 1);
   EXPECT_GE(truncated.h_upper + 1e-9, full.last_feasible);
 }
 
 TEST(ProbeRatioTest, UpperBelowLowerShortCircuits) {
   const Digraph g = UniformDigraph(10, 30, 1);
   const RatioProbeResult probe =
-      ProbeRatio(g, AllVertices(g), AllVertices(g), Fraction{1, 1}, 5.0,
-                 4.0, 1e-6, false, false);
-  EXPECT_EQ(probe.iterations, 0);
-  EXPECT_EQ(probe.networks_built, 0);
+      ProbeAll(g, {Fraction{1, 1}, 5.0, 4.0, 1e-6}, false, false);
+  EXPECT_EQ(probe.flow.binary_search_iters, 0);
+  EXPECT_EQ(probe.flow.flow_networks_built, 0);
   EXPECT_EQ(probe.h_upper, 4.0);
 }
 
@@ -123,8 +127,7 @@ TEST(ProbeRatioTest, HUpperIsSoundAcrossRatios) {
   for (const Fraction ratio :
        {Fraction{1, 3}, Fraction{1, 1}, Fraction{2, 1}, Fraction{3, 1}}) {
     const RatioProbeResult probe =
-        ProbeRatio(g, AllVertices(g), AllVertices(g), ratio, 0.0, upper,
-                   ExactSearchDelta(g), false, false);
+        ProbeAll(g, {ratio, 0.0, upper, ExactSearchDelta(g)}, false, false);
     const double phi = RatioMismatchPhi(a_star / ratio.ToDouble());
     EXPECT_LE(naive.density, probe.h_upper * phi + 1e-6)
         << "ratio " << ratio.ToString();

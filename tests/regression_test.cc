@@ -5,6 +5,7 @@
 #include "core/core_approx.h"
 #include "dds/core_exact.h"
 #include "dds/peel_approx.h"
+#include "dds/solver.h"
 #include "graph/generators.h"
 
 namespace ddsgraph {
@@ -17,7 +18,7 @@ namespace {
 
 TEST(RegressionTest, MediumRmatAllSolversConsistent) {
   const Digraph g = RmatDigraph(9, 6000, 42);
-  const DdsSolution exact = CoreExact(g);
+  const DdsSolution exact = SolveExactDds(g, ExactOptions{});
   const CoreApproxResult core_approx = CoreApprox(g);
   const DdsSolution peel = PeelApprox(g);
 
@@ -34,7 +35,7 @@ TEST(RegressionTest, MediumRmatAllSolversConsistent) {
 
 TEST(RegressionTest, MediumUniformGraphConsistent) {
   const Digraph g = UniformDigraph(400, 3000, 7);
-  const DdsSolution exact = CoreExact(g);
+  const DdsSolution exact = SolveExactDds(g, ExactOptions{});
   const CoreApproxResult approx = CoreApprox(g);
   EXPECT_GE(exact.density + 1e-6, approx.density);
   EXPECT_GE(approx.density * 2.0 + 1e-6, exact.density);
@@ -46,7 +47,7 @@ TEST(RegressionTest, MediumUniformGraphConsistent) {
 TEST(RegressionTest, PlantedBlockRecoveredAtScale) {
   const PlantedDigraph planted =
       PlantedDenseBlock(2000, 8000, 20, 30, 0.95, 123);
-  const DdsSolution exact = CoreExact(planted.graph);
+  const DdsSolution exact = SolveExactDds(planted.graph, ExactOptions{});
   const double planted_density = DirectedDensity(
       planted.graph, planted.planted_s, planted.planted_t);
   EXPECT_GE(exact.density + 1e-6, planted_density);
@@ -57,8 +58,9 @@ TEST(RegressionTest, PlantedBlockRecoveredAtScale) {
 
 TEST(RegressionTest, CoreExactBeatsDcExactOnWork) {
   const Digraph g = RmatDigraph(8, 3000, 11);
-  const DdsSolution dc = DcExact(g);
-  const DdsSolution core = CoreExact(g);
+  const DdsSolution dc = SolveExactDds(
+      g, ExactPresetFor(DdsAlgorithm::kDcExact, ExactOptions{}));
+  const DdsSolution core = SolveExactDds(g, ExactOptions{});
   EXPECT_NEAR(dc.density, core.density, 1e-6);
   // Core pruning must shrink the peak network size substantially on a
   // power-law graph — the mechanism behind the paper's speedups (E8).

@@ -37,10 +37,8 @@
 #include "serve/scheduler.h"              // IWYU pragma: export
 #include "serve/server.h"                 // IWYU pragma: export
 #include "serve/wal.h"                    // IWYU pragma: export
-#include "stream/dynamic_dds.h"           // IWYU pragma: export
 #include "stream/dynamic_digraph.h"       // IWYU pragma: export
 #include "stream/edge_stream.h"           // IWYU pragma: export
-#include "stream/incremental_core.h"      // IWYU pragma: export
 #include "util/failpoint.h"               // IWYU pragma: export
 #include "util/thread_pool.h"             // IWYU pragma: export
 #include "util/timer.h"                   // IWYU pragma: export

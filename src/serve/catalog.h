@@ -27,8 +27,9 @@
 /// against a graph amortize the engine's `ProbeWorkspace` (finalized CSR
 /// flow arenas, epoch sets) instead of rebuilding them per request.
 ///
-/// Since PR 8 every entry holds its graph inside a `DynamicDigraphT`
-/// overlay (stream/dynamic_digraph.h), so catalog graphs are *live*:
+/// Every entry holds its graph inside a `DynamicDigraphT` overlay
+/// (stream/dynamic_digraph.h) — the one way a graph changes — so catalog
+/// graphs are *live*:
 /// `ApplyEdgeBatch` buffers edge inserts/deletes on the entry and bumps
 /// its `version()`. A solve first compacts the overlay (snapshot), and
 /// rebinds the hot engine when a compaction has rebuilt the CSR since the

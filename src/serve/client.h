@@ -25,8 +25,8 @@
 /// (admission queue full, entry busy, draining). It must only carry
 /// idempotent requests: a solve answered twice is the same solve, but a
 /// retried `update` could apply its batch twice (weighted inserts
-/// merge-sum, so the duplicate is not a no-op). The e12 bench rides it
-/// through a mid-run server restart.
+/// merge-sum, so the duplicate is not a no-op). tests/serve_retry_test.cc
+/// rides it through a mid-run server restart.
 
 namespace ddsgraph {
 

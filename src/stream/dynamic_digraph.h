@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -18,8 +17,8 @@
 /// `DynamicDigraphT<WeightPolicy>` represents the current logical graph as
 /// a frozen base `DigraphT` plus a hash-map delta of edges whose weight
 /// differs from the base (weight 0 = tombstone). Reads merge the two: the
-/// base adjacency span and the per-vertex sorted list of touched
-/// neighbors are co-iterated in ascending order, so `ForEachOutEdge`
+/// base out-adjacency span and the per-vertex sorted list of touched
+/// out-neighbors are co-iterated in ascending order, so `ForEachOutEdge`
 /// enumerates exactly the arcs `FromEdges` would materialize for the same
 /// logical edge set, in the same order — the property the
 /// overlay-vs-rebuild bit-identity tests pin down.
@@ -27,7 +26,7 @@
 /// Op semantics match static construction: self-loops are dropped;
 /// unweighted inserts are idempotent; weighted inserts merge by summing;
 /// deletes remove the arc entirely; no-ops (deleting an absent edge,
-/// re-inserting an unweighted edge) are not counted and not observed.
+/// re-inserting an unweighted edge) are not counted.
 ///
 /// Compaction folds the delta back into a fresh CSR once it grows past
 /// `CompactionPolicy` (a fraction of the base size with an absolute
@@ -58,29 +57,19 @@ class DynamicDigraphT {
   using Graph = DigraphT<WeightPolicy>;
   static constexpr bool kWeighted = Graph::kWeighted;
 
-  /// Called once per *applied* (non-no-op) op with the arc's logical
-  /// weight before and after — the hook the incremental bound maintainers
-  /// ride on. old_weight == 0 means the arc is being created,
-  /// new_weight == 0 that it is being removed.
-  using OpObserver = std::function<void(VertexId from, VertexId to,
-                                        int64_t old_weight,
-                                        int64_t new_weight)>;
-
   DynamicDigraphT() = default;
   explicit DynamicDigraphT(Graph base, CompactionPolicy policy = {})
       : base_(std::move(base)),
         policy_(policy),
         num_vertices_(base_.NumVertices()),
         num_edges_(base_.NumEdges()),
-        total_weight_(base_.TotalWeight()),
-        max_weight_bound_(base_.MaxEdgeWeight()) {}
+        total_weight_(base_.TotalWeight()) {}
 
-  /// Applies a batch of ops, calling `observer` (if any) per applied op,
-  /// and bumps the version once. Vertex ids beyond the current vertex
-  /// count grow the graph. Returns the number of applied (non-no-op) ops.
-  /// Runs the compaction policy after the batch.
-  int64_t ApplyBatch(const EdgeBatch& batch,
-                     const OpObserver& observer = nullptr) {
+  /// Applies a batch of ops and bumps the version once. Vertex ids beyond
+  /// the current vertex count grow the graph (ids come from ParseEdgeOps
+  /// or tests, so `id + 1` fits in a VertexId). Returns the number of
+  /// applied (non-no-op) ops. Runs the compaction policy after the batch.
+  int64_t ApplyBatch(const EdgeBatch& batch) {
     int64_t applied = 0;
     for (const EdgeOp& op : batch) {
       if (op.from == op.to) continue;  // self-loops never materialize
@@ -97,9 +86,6 @@ class DynamicDigraphT {
       StoreWeight(op.from, op.to, new_weight);
       num_edges_ += (new_weight > 0 ? 1 : 0) - (old_weight > 0 ? 1 : 0);
       total_weight_ += new_weight - old_weight;
-      max_weight_bound_ = std::max(max_weight_bound_, new_weight);
-      AdjustDegrees(op.from, op.to, old_weight, new_weight);
-      if (observer) observer(op.from, op.to, old_weight, new_weight);
       ++applied;
     }
     ++version_;
@@ -118,51 +104,44 @@ class DynamicDigraphT {
   int64_t NumEdges() const { return num_edges_; }
   int64_t TotalWeight() const { return total_weight_; }
 
-  /// Monotone upper bound on the current max edge weight: grows with
-  /// inserts, deliberately not lowered by deletes (tracking the exact max
-  /// under deletions would need a heap); compaction resets it exactly.
-  /// Sound wherever a true upper bound is needed (the global density
-  /// bound sqrt(W * w_max)).
-  int64_t MaxEdgeWeightBound() const { return max_weight_bound_; }
-
-  int64_t OutDegree(VertexId u) const {
-    return BaseOutDegree(u) + At(dout_delta_, u);
-  }
-  int64_t InDegree(VertexId v) const {
-    return BaseInDegree(v) + At(din_delta_, v);
-  }
-  int64_t WeightedOutDegree(VertexId u) const {
-    if constexpr (kWeighted) {
-      return BaseWeightedOutDegree(u) + At(wdout_delta_, u);
-    } else {
-      return OutDegree(u);
-    }
-  }
-  int64_t WeightedInDegree(VertexId v) const {
-    if constexpr (kWeighted) {
-      return BaseWeightedInDegree(v) + At(wdin_delta_, v);
-    } else {
-      return InDegree(v);
-    }
-  }
-
   /// Enumerates the out-arcs of u as fn(v, weight), v strictly ascending —
   /// the merge of the base span with the touched-neighbor list, skipping
   /// tombstones. The enumeration order equals the CSR order a compaction
   /// would produce.
+  ///
+  /// For a touched neighbor the delta map is authoritative (a missing
+  /// entry means the arc reverted to its base state); untouched neighbors
+  /// come straight from the base span.
   template <typename Fn>
   void ForEachOutEdge(VertexId u, Fn&& fn) const {
-    ForEachMerged(u, BaseOutSpan(u), touched_out_,
-                  [&](VertexId v, int64_t w) { fn(v, w); },
-                  /*u_is_source=*/true);
-  }
-
-  /// Enumerates the in-arcs of v as fn(u, weight), u strictly ascending.
-  template <typename Fn>
-  void ForEachInEdge(VertexId v, Fn&& fn) const {
-    ForEachMerged(v, BaseInSpan(v), touched_in_,
-                  [&](VertexId u, int64_t w) { fn(u, w); },
-                  /*u_is_source=*/false);
+    const std::span<const VertexId> base_nbrs = BaseOutSpan(u);
+    const auto t_it = touched_out_.find(u);
+    if (t_it == touched_out_.end()) {
+      // Fast path: no touched arcs at this vertex — the base span is the
+      // truth, weights included.
+      for (size_t k = 0; k < base_nbrs.size(); ++k) {
+        fn(base_nbrs[k], base_.OutWeight(u, k));
+      }
+      return;
+    }
+    const std::vector<VertexId>& touched_nbrs = t_it->second;
+    size_t bi = 0;
+    size_t ti = 0;
+    while (bi < base_nbrs.size() || ti < touched_nbrs.size()) {
+      const bool take_touched =
+          bi >= base_nbrs.size() ||
+          (ti < touched_nbrs.size() && touched_nbrs[ti] <= base_nbrs[bi]);
+      if (take_touched) {
+        const VertexId v = touched_nbrs[ti];
+        if (bi < base_nbrs.size() && base_nbrs[bi] == v) ++bi;
+        ++ti;
+        const int64_t w = EdgeWeight(u, v);
+        if (w > 0) fn(v, w);
+      } else {
+        fn(base_nbrs[bi], base_.OutWeight(u, bi));
+        ++bi;
+      }
+    }
   }
 
   /// True when the delta has outgrown the policy threshold.
@@ -193,18 +172,10 @@ class DynamicDigraphT {
     base_ = Graph::FromEdges(num_vertices_, std::move(edges));
     delta_.clear();
     touched_out_.clear();
-    touched_in_.clear();
-    dout_delta_.clear();
-    din_delta_.clear();
-    if constexpr (kWeighted) {
-      wdout_delta_.clear();
-      wdin_delta_.clear();
-    }
     CHECK_EQ(num_edges_, base_.NumEdges())
         << "overlay edge count diverged from compacted CSR";
     CHECK_EQ(total_weight_, base_.TotalWeight())
         << "overlay total weight diverged from compacted CSR";
-    max_weight_bound_ = base_.MaxEdgeWeight();
     ++compactions_;
   }
 
@@ -245,21 +216,6 @@ class DynamicDigraphT {
     return InBase(u) ? base_.OutNeighbors(u)
                      : std::span<const VertexId>{};
   }
-  std::span<const VertexId> BaseInSpan(VertexId v) const {
-    return InBase(v) ? base_.InNeighbors(v) : std::span<const VertexId>{};
-  }
-  int64_t BaseOutDegree(VertexId u) const {
-    return InBase(u) ? base_.OutDegree(u) : 0;
-  }
-  int64_t BaseInDegree(VertexId v) const {
-    return InBase(v) ? base_.InDegree(v) : 0;
-  }
-  int64_t BaseWeightedOutDegree(VertexId u) const {
-    return InBase(u) ? base_.WeightedOutDegree(u) : 0;
-  }
-  int64_t BaseWeightedInDegree(VertexId v) const {
-    return InBase(v) ? base_.WeightedInDegree(v) : 0;
-  }
 
   int64_t BaseWeight(VertexId u, VertexId v) const {
     if (!InBase(u) || !InBase(v)) return 0;
@@ -269,32 +225,10 @@ class DynamicDigraphT {
     return base_.OutWeight(u, static_cast<size_t>(it - nbrs.begin()));
   }
 
-  static int64_t At(const std::vector<int64_t>& vec, VertexId u) {
-    return u < vec.size() ? vec[u] : 0;
-  }
-  static void Add(std::vector<int64_t>* vec, VertexId u, int64_t d) {
-    if (u >= vec->size()) vec->resize(u + 1, 0);
-    (*vec)[u] += d;
-  }
-
-  void AdjustDegrees(VertexId u, VertexId v, int64_t old_weight,
-                     int64_t new_weight) {
-    const int64_t darcs =
-        (new_weight > 0 ? 1 : 0) - (old_weight > 0 ? 1 : 0);
-    if (darcs != 0) {
-      Add(&dout_delta_, u, darcs);
-      Add(&din_delta_, v, darcs);
-    }
-    if constexpr (kWeighted) {
-      Add(&wdout_delta_, u, new_weight - old_weight);
-      Add(&wdin_delta_, v, new_weight - old_weight);
-    }
-  }
-
-  /// Records the new logical weight and keeps the touched lists current.
+  /// Records the new logical weight and keeps the touched list current.
   /// The entry is *erased* when the new weight equals the base weight
   /// (re-insert after delete restores the base arc exactly); the touched
-  /// lists keep the now-stale neighbor, which the merged iteration
+  /// list keeps the now-stale neighbor, which the merged iteration
   /// resolves by falling back to the base weight.
   void StoreWeight(VertexId u, VertexId v, int64_t new_weight) {
     const uint64_t key = Key(u, v);
@@ -304,56 +238,11 @@ class DynamicDigraphT {
       delta_[key] = new_weight;
     }
     InsertSorted(&touched_out_[u], v);
-    InsertSorted(&touched_in_[v], u);
   }
 
   static void InsertSorted(std::vector<VertexId>* list, VertexId v) {
     const auto it = std::lower_bound(list->begin(), list->end(), v);
     if (it == list->end() || *it != v) list->insert(it, v);
-  }
-
-  /// The merged ascending iteration both ForEach methods share. For a
-  /// touched neighbor the delta map is authoritative (a missing entry
-  /// means the arc reverted to its base state); untouched neighbors come
-  /// straight from the base span.
-  template <typename Fn>
-  void ForEachMerged(
-      VertexId pivot, std::span<const VertexId> base_nbrs,
-      const std::unordered_map<VertexId, std::vector<VertexId>>& touched,
-      Fn&& fn, bool u_is_source) const {
-    const auto t_it = touched.find(pivot);
-    if (t_it == touched.end()) {
-      // Fast path: no touched arcs at this vertex — the base span is the
-      // truth, weights included.
-      for (size_t k = 0; k < base_nbrs.size(); ++k) {
-        fn(base_nbrs[k], u_is_source
-                             ? base_.OutWeight(pivot, k)
-                             : base_.InWeight(pivot, k));
-      }
-      return;
-    }
-    const std::vector<VertexId>& touched_nbrs = t_it->second;
-    size_t bi = 0;
-    size_t ti = 0;
-    while (bi < base_nbrs.size() || ti < touched_nbrs.size()) {
-      const bool take_touched =
-          bi >= base_nbrs.size() ||
-          (ti < touched_nbrs.size() && touched_nbrs[ti] <= base_nbrs[bi]);
-      if (take_touched) {
-        const VertexId other = touched_nbrs[ti];
-        if (bi < base_nbrs.size() && base_nbrs[bi] == other) ++bi;
-        ++ti;
-        const VertexId u = u_is_source ? pivot : other;
-        const VertexId v = u_is_source ? other : pivot;
-        const int64_t w = EdgeWeight(u, v);
-        if (w > 0) fn(other, w);
-      } else {
-        fn(base_nbrs[bi], u_is_source
-                              ? base_.OutWeight(pivot, bi)
-                              : base_.InWeight(pivot, bi));
-        ++bi;
-      }
-    }
   }
 
   Graph base_;
@@ -364,20 +253,12 @@ class DynamicDigraphT {
   /// whose logical weight differs from the base (0 = tombstoned base
   /// arc).
   std::unordered_map<uint64_t, int64_t> delta_;
-  /// Per-vertex sorted neighbor lists of arcs ever touched since the last
-  /// compaction (may contain reverted entries; see StoreWeight).
+  /// Per-vertex sorted out-neighbor lists of arcs ever touched since the
+  /// last compaction (may contain reverted entries; see StoreWeight).
   std::unordered_map<VertexId, std::vector<VertexId>> touched_out_;
-  std::unordered_map<VertexId, std::vector<VertexId>> touched_in_;
-  /// Degree corrections, lazily sized (empty while no updates arrive, so
-  /// never-updated catalog graphs pay nothing).
-  std::vector<int64_t> dout_delta_;
-  std::vector<int64_t> din_delta_;
-  std::vector<int64_t> wdout_delta_;
-  std::vector<int64_t> wdin_delta_;
 
   int64_t num_edges_ = 0;
   int64_t total_weight_ = 0;
-  int64_t max_weight_bound_ = 0;
   int64_t version_ = 0;
   int64_t compactions_ = 0;
 };

@@ -1,13 +1,10 @@
 #include "stream/edge_stream.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <fstream>
-#include <random>
 #include <sstream>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 namespace ddsgraph {
@@ -39,39 +36,24 @@ std::vector<std::string> SplitTrim(const std::string& text,
   return pieces;
 }
 
-bool ParseUint32(const std::string& token, uint32_t* out) {
+/// Parses a non-empty run of decimal digits no larger than `max`.
+bool ParseDecimal(const std::string& token, uint64_t max, uint64_t* out) {
   if (token.empty()) return false;
   uint64_t value = 0;
   for (char c : token) {
     if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-    if (value > UINT32_MAX) return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (max - digit) / 10) return false;
+    value = value * 10 + digit;
   }
-  *out = static_cast<uint32_t>(value);
+  *out = value;
   return true;
 }
 
-bool ParseInt64(const std::string& token, int64_t* out) {
-  if (token.empty()) return false;
-  size_t i = 0;
-  bool negative = false;
-  if (token[0] == '-') {
-    negative = true;
-    i = 1;
-    if (token.size() == 1) return false;
-  }
-  uint64_t value = 0;
-  for (; i < token.size(); ++i) {
-    char c = token[i];
-    if (c < '0' || c > '9') return false;
-    if (value > (UINT64_MAX - 9) / 10) return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  if (value > static_cast<uint64_t>(INT64_MAX)) return false;
-  *out = negative ? -static_cast<int64_t>(value)
-                  : static_cast<int64_t>(value);
-  return true;
-}
+/// The largest vertex id an op may name. UINT32_MAX is reserved so that
+/// `id + 1` — the vertex count an op grows the overlay to — always fits
+/// in a VertexId.
+constexpr uint64_t kMaxVertexId = UINT32_MAX - 1;
 
 /// Parses one op body: `+u v [w]` or `-u v` with the sign already split
 /// off into `kind`.
@@ -87,18 +69,25 @@ Result<EdgeOp> ParseOpFields(EdgeOp::Kind kind, const std::string& body,
     return Status::InvalidArgument("bad edge op '" + original +
                                    "': expected '+u v [w]' or '-u v'");
   }
+  uint64_t from = 0;
+  uint64_t to = 0;
+  if (!ParseDecimal(fields[0], kMaxVertexId, &from) ||
+      !ParseDecimal(fields[1], kMaxVertexId, &to)) {
+    return Status::InvalidArgument(
+        "bad vertex id in edge op '" + original +
+        "': must be a decimal integer <= " + std::to_string(kMaxVertexId));
+  }
   EdgeOp op;
   op.kind = kind;
-  if (!ParseUint32(fields[0], &op.from) ||
-      !ParseUint32(fields[1], &op.to)) {
-    return Status::InvalidArgument("bad vertex id in edge op '" +
-                                   original + "'");
-  }
+  op.from = static_cast<VertexId>(from);
+  op.to = static_cast<VertexId>(to);
   if (fields.size() == 3) {
-    if (!ParseInt64(fields[2], &op.weight) || op.weight < 1) {
+    uint64_t weight = 0;
+    if (!ParseDecimal(fields[2], INT64_MAX, &weight) || weight < 1) {
       return Status::InvalidArgument("bad weight in edge op '" + original +
                                      "': must be a positive integer");
     }
+    op.weight = static_cast<int64_t>(weight);
   }
   return op;
 }
@@ -154,150 +143,6 @@ std::string FormatEdgeOps(const EdgeBatch& batch) {
     }
   }
   return out;
-}
-
-Result<std::vector<TimestampedOp>> LoadEdgeStream(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open edge stream file: " + path);
-  }
-  std::vector<TimestampedOp> stream;
-  std::string line;
-  int64_t line_number = 0;
-  int64_t last_timestamp = -1;
-  while (std::getline(in, line)) {
-    ++line_number;
-    // Trim leading whitespace to classify the line.
-    size_t lo = 0;
-    while (lo < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[lo]))) {
-      ++lo;
-    }
-    if (lo == line.size() || line[lo] == '#' || line[lo] == '%') continue;
-
-    std::istringstream fields(line);
-    std::string ts_token;
-    fields >> ts_token;
-    TimestampedOp entry;
-    if (!ParseInt64(ts_token, &entry.timestamp) || entry.timestamp < 0) {
-      return Status::InvalidArgument(
-          path + ":" + std::to_string(line_number) +
-          ": bad timestamp '" + ts_token + "'");
-    }
-    if (entry.timestamp < last_timestamp) {
-      return Status::InvalidArgument(
-          path + ":" + std::to_string(line_number) +
-          ": timestamps must be non-decreasing (" +
-          std::to_string(entry.timestamp) + " after " +
-          std::to_string(last_timestamp) + ")");
-    }
-    std::string rest;
-    std::getline(fields, rest);
-    // The op may be written `+u v` or `+ u v`; strip whitespace before the
-    // sign so both forms land on ParseOneOp's grammar.
-    size_t op_lo = 0;
-    while (op_lo < rest.size() &&
-           std::isspace(static_cast<unsigned char>(rest[op_lo]))) {
-      ++op_lo;
-    }
-    Result<EdgeOp> op = ParseOneOp(rest.substr(op_lo));
-    if (!op.ok()) {
-      return Status::InvalidArgument(path + ":" +
-                                     std::to_string(line_number) + ": " +
-                                     op.status().message());
-    }
-    entry.op = op.value();
-    last_timestamp = entry.timestamp;
-    stream.push_back(entry);
-  }
-  return stream;
-}
-
-std::vector<EdgeBatch> BatchByTimestamp(
-    const std::vector<TimestampedOp>& stream, int64_t max_batch_ops) {
-  std::vector<EdgeBatch> batches;
-  for (size_t i = 0; i < stream.size();) {
-    EdgeBatch batch;
-    const int64_t t = stream[i].timestamp;
-    while (i < stream.size() && stream[i].timestamp == t) {
-      batch.push_back(stream[i].op);
-      ++i;
-      if (max_batch_ops > 0 &&
-          static_cast<int64_t>(batch.size()) >= max_batch_ops) {
-        batches.push_back(std::move(batch));
-        batch.clear();
-      }
-    }
-    if (!batch.empty()) batches.push_back(std::move(batch));
-  }
-  return batches;
-}
-
-std::vector<EdgeBatch> GenerateBurstStream(const BurstStreamOptions& options,
-                                           uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  const uint32_t n = std::max<uint32_t>(options.num_vertices, 4);
-  std::uniform_int_distribution<uint32_t> vertex(0, n - 1);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  std::uniform_int_distribution<int64_t> weight(
-      1, std::max<int64_t>(options.max_weight, 1));
-
-  // The burst block: S = [0, burst_s), T = [n - burst_t, n). Keeping the
-  // two sides disjoint (bounded by n/2 each) guarantees no self-loops.
-  const uint32_t s_size = std::min(options.burst_s, n / 2);
-  const uint32_t t_size = std::min(options.burst_t, n / 2);
-  std::uniform_int_distribution<uint32_t> s_pick(0, s_size - 1);
-  std::uniform_int_distribution<uint32_t> t_pick(n - t_size, n - 1);
-
-  // Live streamed edges, tracked so deletes target edges that exist.
-  std::vector<Edge> live_background;
-  std::vector<Edge> live_burst;
-  const int64_t burst_begin = options.batches / 3;
-  const int64_t burst_end = 2 * options.batches / 3;
-
-  std::vector<EdgeBatch> batches;
-  batches.reserve(static_cast<size_t>(options.batches));
-  for (int64_t b = 0; b < options.batches; ++b) {
-    EdgeBatch batch;
-    const bool in_burst = b >= burst_begin && b < burst_end;
-    const bool in_decay = b >= burst_end;
-    for (int64_t k = 0; k < options.ops_per_batch; ++k) {
-      if (in_burst && coin(rng) < options.burst_intensity) {
-        const Edge e{s_pick(rng), t_pick(rng)};
-        batch.push_back(EdgeOp::Insert(e.first, e.second, weight(rng)));
-        live_burst.push_back(e);
-        continue;
-      }
-      if (in_decay && !live_burst.empty() && coin(rng) < 0.7) {
-        // Cleanup wave: tear the burst block back down.
-        std::uniform_int_distribution<size_t> pick(0,
-                                                   live_burst.size() - 1);
-        const size_t i = pick(rng);
-        const Edge e = live_burst[i];
-        live_burst[i] = live_burst.back();
-        live_burst.pop_back();
-        batch.push_back(EdgeOp::Delete(e.first, e.second));
-        continue;
-      }
-      if (!live_background.empty() && coin(rng) < options.delete_fraction) {
-        std::uniform_int_distribution<size_t> pick(
-            0, live_background.size() - 1);
-        const size_t i = pick(rng);
-        const Edge e = live_background[i];
-        live_background[i] = live_background.back();
-        live_background.pop_back();
-        batch.push_back(EdgeOp::Delete(e.first, e.second));
-        continue;
-      }
-      const VertexId u = vertex(rng);
-      VertexId v = vertex(rng);
-      if (u == v) v = (v + 1) % n;
-      batch.push_back(EdgeOp::Insert(u, v, weight(rng)));
-      live_background.push_back(Edge{u, v});
-    }
-    batches.push_back(std::move(batch));
-  }
-  return batches;
 }
 
 }  // namespace ddsgraph

@@ -14,16 +14,15 @@
 ///
 /// An `EdgeOp` is one insert or delete of a directed edge; an `EdgeBatch`
 /// is the unit in which the dynamic layer applies them (one version bump
-/// per batch). The same vocabulary travels in three forms:
+/// per batch). The same vocabulary travels in two forms:
 ///
 ///   * programmatic — tests and the serving catalog build batches
 ///     directly;
 ///   * the compact ops string `"+u v [w], -u v, ..."` — how the wire
 ///     protocol's `update` verb carries a batch inside the deliberately
 ///     *flat* request JSON (serve/protocol.h rejects nested arrays, so
-///     the batch is one string scalar with its own tiny grammar);
-///   * timestamped stream files — one `t +u v [w]` / `t -u v` per line,
-///     replayed by examples/dds_monitor.cpp and the E13 benchmark.
+///     the batch is one string scalar with its own tiny grammar), and
+///     how the write-ahead log (serve/wal.h) records it.
 ///
 /// Semantics are fixed by the overlay (stream/dynamic_digraph.h): inserts
 /// merge by summing weights on the weighted instantiation and deduplicate
@@ -60,8 +59,9 @@ using EdgeBatch = std::vector<EdgeOp>;
 
 /// Parses the compact ops string: ops separated by ',' or ';', each op
 /// `+u v [w]` (insert; w optional, default 1) or `-u v` (delete) with
-/// whitespace-separated decimal fields. Rejects malformed ops with a
-/// message naming the offending token; an empty spec is InvalidArgument
+/// whitespace-separated decimal fields. Vertex ids run up to
+/// UINT32_MAX - 1 (so `id + 1` always fits in a VertexId). Rejects
+/// malformed ops with a message naming the offending token; an empty spec is InvalidArgument
 /// (an update that does nothing is almost certainly a client bug) unless
 /// `allow_empty` — WAL replay (serve/wal.h) round-trips every applied
 /// batch, and a batch of nothing but no-ops formats to "".
@@ -71,53 +71,6 @@ Result<EdgeBatch> ParseEdgeOps(const std::string& spec,
 /// Inverse of ParseEdgeOps: `"+1 2, +2 3 5, -1 2"`. Weights equal to 1
 /// are omitted (the parser's default), so Format(Parse(s)) is canonical.
 std::string FormatEdgeOps(const EdgeBatch& batch);
-
-/// One line of a timestamped stream file.
-struct TimestampedOp {
-  int64_t timestamp = 0;
-  EdgeOp op;
-
-  friend bool operator==(const TimestampedOp&,
-                         const TimestampedOp&) = default;
-};
-
-/// Loads a timestamped edge-stream file: one `t +u v [w]` or `t -u v`
-/// per line (t a non-negative integer; '#'/'%' comments and blank lines
-/// skipped). Timestamps must be non-decreasing — streams are replayed in
-/// file order and a decreasing timestamp is almost certainly corrupt
-/// input, so it fails the load with a line number.
-Result<std::vector<TimestampedOp>> LoadEdgeStream(const std::string& path);
-
-/// Groups a timestamped stream into batches: ops sharing a timestamp
-/// land in one batch, and a batch is additionally split whenever it
-/// reaches `max_batch_ops` (<= 0 = unbounded).
-std::vector<EdgeBatch> BatchByTimestamp(
-    const std::vector<TimestampedOp>& stream, int64_t max_batch_ops = 0);
-
-/// Knobs of the synthetic fraud-burst stream shared by the monitor
-/// example and the E13 benchmark: organic background churn (uniform
-/// inserts plus deletes of previously inserted edges) with a dense
-/// S x T burst in the middle third — density spikes during the burst and
-/// decays as the cleanup wave deletes the burst edges again.
-struct BurstStreamOptions {
-  uint32_t num_vertices = 400;
-  int64_t batches = 32;
-  int64_t ops_per_batch = 64;
-  /// Fraction of background ops that delete a live streamed edge.
-  double delete_fraction = 0.25;
-  /// The planted burst: every op of batches in
-  /// [batches/3, 2*batches/3) inserts into a burst_s x burst_t block
-  /// with this probability; the final third deletes burst edges first.
-  double burst_intensity = 0.6;
-  uint32_t burst_s = 8;
-  uint32_t burst_t = 12;
-  /// Weight attached to inserted edges (keep 1 for unweighted replay).
-  int64_t max_weight = 1;
-};
-
-/// Deterministically generates the burst stream described above.
-std::vector<EdgeBatch> GenerateBurstStream(const BurstStreamOptions& options,
-                                           uint64_t seed);
 
 }  // namespace ddsgraph
 

@@ -11,9 +11,9 @@
 /// \file
 /// Seeded Zipfian rank sampling for skewed workload generation.
 ///
-/// Serving benchmarks (E12 and future E-benches) draw their query mix
-/// from a Zipf(s) distribution over a small universe of (graph,
-/// algorithm) items: rank k (0-based) is sampled with probability
+/// The serving benchmark (ddsbench serve_cold / serve_live) draws its
+/// query mix from a Zipf(s) distribution over a small universe of
+/// (graph, algorithm) items: rank k (0-based) is sampled with probability
 /// proportional to 1/(k+1)^s, the standard model for request popularity
 /// skew. `s = 0` degenerates to uniform; `s = 1` is the classic web/cache
 /// skew; larger `s` concentrates traffic on the hottest item.

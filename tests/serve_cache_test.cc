@@ -24,6 +24,7 @@
 #include "serve/protocol.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
+#include "stream/dynamic_digraph.h"
 #include "stream/edge_stream.h"
 #include "util/random.h"
 
@@ -485,6 +486,40 @@ TEST_F(ServeCacheServerTest, HealthVerbAndItsStrictSchema) {
 // least that — a cached stale answer would violate it. Run under TSan
 // in CI.
 TEST_F(ServeCacheServerTest, UpdateVsCachedSolveVsStatsRace) {
+  constexpr int kUpdates = 10;
+  constexpr int kSolves = 24;
+
+  // The updater's batches are deterministic, so they are scripted up
+  // front and replayed on a mirror overlay: expected[v] is a direct
+  // single-threaded engine solve of the logical graph at version v —
+  // the answer any response naming version v must carry byte for byte,
+  // whether it was a cache hit or a fresh solve.
+  std::vector<EdgeBatch> batches;
+  Rng rng(23);
+  for (int i = 0; i < kUpdates; ++i) {
+    EdgeBatch batch;
+    for (int k = 0; k < 4; ++k) {
+      const VertexId u = static_cast<VertexId>(rng.NextBounded(40));
+      const VertexId v = static_cast<VertexId>(rng.NextBounded(40));
+      if (u == v) continue;
+      batch.push_back(rng.NextBounded(4) == 0 ? EdgeOp::Delete(u, v)
+                                              : EdgeOp::Insert(u, v));
+    }
+    if (batch.empty()) batch.push_back(EdgeOp::Insert(0, 1));
+    batches.push_back(std::move(batch));
+  }
+  DdsRequest approx;
+  approx.algorithm = DdsAlgorithm::kCoreApprox;
+  std::vector<std::string> expected;
+  DynamicDigraph mirror(uni_);
+  for (int version = 0; version <= kUpdates; ++version) {
+    if (version > 0) mirror.ApplyBatch(batches[version - 1]);
+    const Result<DdsSolution> direct =
+        DdsEngine(mirror.Snapshot()).Solve(approx);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    expected.push_back(SliceOf(direct.value()));
+  }
+
   ServerOptions options;
   options.scheduler.workers = 2;
   options.scheduler.cache_bytes = 1u << 20;
@@ -492,8 +527,6 @@ TEST_F(ServeCacheServerTest, UpdateVsCachedSolveVsStatsRace) {
   const Result<int> port = server_->Start();
   ASSERT_TRUE(port.ok());
 
-  constexpr int kUpdates = 10;
-  constexpr int kSolves = 24;
   std::atomic<int64_t> acked_version{0};
   std::vector<std::string> failures(3);
 
@@ -503,17 +536,7 @@ TEST_F(ServeCacheServerTest, UpdateVsCachedSolveVsStatsRace) {
       failures[0] = "connect";
       return;
     }
-    Rng rng(23);
-    for (int i = 0; i < kUpdates; ++i) {
-      EdgeBatch batch;
-      for (int k = 0; k < 4; ++k) {
-        const VertexId u = static_cast<VertexId>(rng.NextBounded(40));
-        const VertexId v = static_cast<VertexId>(rng.NextBounded(40));
-        if (u == v) continue;
-        batch.push_back(rng.NextBounded(4) == 0 ? EdgeOp::Delete(u, v)
-                                                : EdgeOp::Insert(u, v));
-      }
-      if (batch.empty()) batch.push_back(EdgeOp::Insert(0, 1));
+    for (const EdgeBatch& batch : batches) {
       const Result<std::string> r = client.Call(
           "{\"op\": \"update\", \"graph\": \"uni\", \"edges\": \"" +
           FormatEdgeOps(batch) + "\"}");
@@ -543,12 +566,27 @@ TEST_F(ServeCacheServerTest, UpdateVsCachedSolveVsStatsRace) {
         failures[1] = r.ok() ? r.value() : r.status().ToString();
         return;
       }
-      const double version =
-          FindJsonNumber(r.value(), "version").value_or(-1);
-      if (version < static_cast<double>(floor)) {
+      const int64_t version = static_cast<int64_t>(
+          FindJsonNumber(r.value(), "version").value_or(-1));
+      if (version < floor) {
         failures[1] = "stale response: version " +
                       std::to_string(version) + " after ack " +
                       std::to_string(floor);
+        return;
+      }
+      if (version > kUpdates) {
+        failures[1] = "version out of range: " + std::to_string(version);
+        return;
+      }
+      const Result<std::string> slice = SolutionSliceForCompare(r.value());
+      if (!slice.ok() ||
+          slice.value() != expected[static_cast<size_t>(version)]) {
+        failures[1] = "DIVERGENCE at version " + std::to_string(version) +
+                      "\n  expected: " +
+                      expected[static_cast<size_t>(version)] +
+                      "\n  served:   " +
+                      (slice.ok() ? slice.value()
+                                  : slice.status().ToString());
         return;
       }
     }

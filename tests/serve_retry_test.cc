@@ -5,6 +5,7 @@
 // "status": "ok" | "degraded" reasons (queue saturation, WAL fsync
 // errors, recent cache eviction) — unit-level and over the wire.
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dds/engine.h"
 #include "dds/solver.h"
 #include "graph/generators.h"
 #include "serve/catalog.h"
@@ -140,26 +142,129 @@ TEST_F(ServeRetryTest, NonRetryableErrorsReturnImmediately) {
   EXPECT_EQ(client.retries(), 0);  // a NOT_FOUND will not heal with time
 }
 
+// The schedule-independent prefix of a solution's JSON — the same slice
+// SolutionSliceForCompare extracts from a wire response.
+std::string SliceOf(const DdsSolution& solution) {
+  const std::string json = SolutionJson(solution);
+  const size_t stats = json.find(", \"stats\"");
+  EXPECT_NE(stats, std::string::npos) << json;
+  return json.substr(0, stats);
+}
+
+// Self-healing clients ride CallRetrying through a real server bounce.
+// Every client parks at its midpoint until the server has been stopped
+// and a fresh instance started on the SAME port, so each one's second
+// half provably crosses the restart. Every response, from both halves,
+// must be bit-identical to a direct single-threaded engine solve.
 TEST_F(ServeRetryTest, ReconnectsAcrossAServerRestartOnTheSamePort) {
+  const Digraph uni = UniformDigraph(40, 160, 3);
+  const WeightedDigraph wuni =
+      UniformWeightedDigraph(30, 120, 7, WeightOptions{});
+  ASSERT_TRUE(catalog_.AddGraph("wuni", wuni).ok());
+
+  // A small core-exact / peel-approx mix over both weight flavors, each
+  // item's expected slice precomputed off the serve stack.
+  struct MixItem {
+    std::string request_json;
+    std::string expected;
+  };
+  std::vector<MixItem> mix;
+  for (const bool weighted : {false, true}) {
+    for (const DdsAlgorithm algorithm :
+         {DdsAlgorithm::kCoreExact, DdsAlgorithm::kPeelApprox}) {
+      DdsRequest request;
+      request.algorithm = algorithm;
+      const Result<DdsSolution> direct =
+          weighted ? DdsEngine(wuni).Solve(request)
+                   : DdsEngine(uni).Solve(request);
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      mix.push_back(
+          {"{\"graph\": \"" + std::string(weighted ? "wuni" : "uni") +
+               "\", \"algo\": \"" + AlgorithmName(algorithm) +
+               "\", \"weighted\": " + (weighted ? "true" : "false") + "}",
+           SliceOf(direct.value())});
+    }
+  }
+
   const int port = Start();
-  ServeClient client(FastRetry(12));
-  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
-  const std::string solve = "{\"graph\": \"uni\", \"algo\": \"core-exact\"}";
-  ASSERT_TRUE(client.CallRetrying(solve).ok());
+  constexpr int kClients = 4;
+  constexpr int kRequests = 8;  // per client, half on each side
+  struct ClientLog {
+    std::string error;
+    int verified = 0;
+    int64_t reconnects = 0;
+    int64_t retries = 0;
+  };
+  std::vector<ClientLog> logs(kClients);
+  std::atomic<int> at_midpoint{0};
+  std::atomic<bool> restarted{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      ClientLog& log = logs[static_cast<size_t>(c)];
+      ServeClient client(FastRetry(12));
+      const Status connected = client.Connect("127.0.0.1", port);
+      if (!connected.ok()) log.error = "connect: " + connected.ToString();
+      // Solves requests [begin, end); false once a response fails.
+      const auto run = [&](int begin, int end) {
+        for (int r = begin; r < end && log.error.empty(); ++r) {
+          const MixItem& item =
+              mix[static_cast<size_t>(c + r) % mix.size()];
+          const Result<std::string> response =
+              client.CallRetrying(item.request_json);
+          if (!response.ok()) {
+            log.error = response.status().ToString();
+          } else if (FindJsonString(response.value(), "status")
+                         .value_or("") != "ok") {
+            log.error = response.value();
+          } else {
+            const Result<std::string> slice =
+                SolutionSliceForCompare(response.value());
+            if (!slice.ok() || slice.value() != item.expected) {
+              log.error = "DIVERGENCE on " + item.request_json +
+                          "\n  expected: " + item.expected +
+                          "\n  served:   " +
+                          (slice.ok() ? slice.value()
+                                      : slice.status().ToString());
+            } else {
+              ++log.verified;
+            }
+          }
+        }
+      };
+      run(0, kRequests / 2);
+      // Arrive even after a failure, so the bounce below never waits
+      // forever on a client that gave up.
+      at_midpoint.fetch_add(1, std::memory_order_acq_rel);
+      while (!restarted.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      run(kRequests / 2, kRequests);
+      log.reconnects = client.reconnects();
+      log.retries = client.retries();
+    });
+  }
+  while (at_midpoint.load(std::memory_order_acquire) < kClients) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // Bounce the server: drain-stop, then a new instance on the same port
   // (SO_REUSEADDR makes the rebind immediate).
   server_->Stop();
   server_.reset();
-  ASSERT_EQ(Start(port), port);
+  const int restarted_port = Start(port);
+  restarted.store(true, std::memory_order_release);
+  for (std::thread& t : clients) t.join();
+  ASSERT_EQ(restarted_port, port);
 
-  // The client's first attempt hits the dead connection, reconnects with
-  // backoff and completes — the e12 --restart_mid_run loop in miniature.
-  const Result<std::string> response = client.CallRetrying(solve);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(FindJsonString(response.value(), "status").value_or(""), "ok");
-  EXPECT_GE(client.reconnects(), 1);
-  EXPECT_GE(client.retries(), 1);
+  // Each client's first post-restart attempt hits its dead connection,
+  // reconnects with backoff and completes.
+  for (const ClientLog& log : logs) {
+    EXPECT_EQ(log.error, "");
+    EXPECT_EQ(log.verified, kRequests);
+    EXPECT_GE(log.reconnects, 1);
+    EXPECT_GE(log.retries, 1);
+  }
 }
 
 TEST_F(ServeRetryTest, ConnectionRefusedIsRetryableUnavailable) {

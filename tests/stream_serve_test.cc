@@ -185,6 +185,20 @@ TEST_F(StreamServeTest, UpdateSchemaAndErrorCases) {
   EXPECT_EQ(code("{\"op\": \"update\", \"graph\": \"uni\", "
                  "\"weighted\": true, \"edges\": \"+1 2\"}"),
             "INVALID_ARGUMENT");
+  // Vertex id UINT32_MAX would wrap the overlay's vertex count (id + 1)
+  // to zero; it is refused before it reaches the overlay or the WAL.
+  EXPECT_EQ(code("{\"op\": \"update\", \"graph\": \"uni\", "
+                 "\"edges\": \"+4294967295 0\"}"),
+            "INVALID_ARGUMENT");
+  EXPECT_EQ(code("{\"op\": \"update\", \"graph\": \"uni\", "
+                 "\"edges\": \"-0 4294967295\"}"),
+            "INVALID_ARGUMENT");
+
+  // No rejected update moved the version, and the graph still solves.
+  const std::string solve =
+      Call(&client, "{\"graph\": \"uni\", \"algo\": \"core-exact\"}");
+  EXPECT_EQ(FindJsonString(solve, "status").value_or(""), "ok") << solve;
+  EXPECT_EQ(FindJsonNumber(solve, "version").value_or(-1), 0);
 
   // After the error volley the connection still works.
   const std::string ok = Call(

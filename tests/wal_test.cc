@@ -375,6 +375,23 @@ TEST_F(WalTest, CorruptMiddleRecordFailsLoudlyInsteadOfTruncating) {
   }
 }
 
+// A log written before vertex id UINT32_MAX was refused at parse time can
+// hold a CRC-valid record naming it. Replay must fail with a Status —
+// applying it would wrap the overlay's vertex count — rather than crash
+// on every restart.
+TEST_F(WalTest, MaxVertexIdRecordFailsReplayWithAStatus) {
+  const std::string path = TempPath("max_vertex.wal");
+  WalReplay replay;
+  auto wal = WriteAheadLog::Open(path, WalOptions{}, &replay).value();
+  ASSERT_TRUE(wal->Append(1, {EdgeOp::Insert(1, 2)}).ok());
+  ASSERT_TRUE(wal->Append(2, {EdgeOp::Insert(UINT32_MAX, 0)}).ok());
+  wal.reset();
+  const Result<WalReplay> read = ReadWal(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInternal)
+      << read.status().ToString();
+}
+
 // ------------------------------------------------------------ snapshots
 
 TEST_F(WalTest, SnapshotRoundTripUnweightedWithLabels) {

@@ -12,8 +12,10 @@
 //   * mode:  `fresh` cold-solves an identical network copy at every guess,
 //     `probe` replays the real parametric descent — build once, then
 //     Reparameterize + re-solve (warm-started where the engine supports
-//     it, which is how `flow_engine = auto|dinic|push_relabel` behave in
-//     ProbeRatio).
+//     it). The `auto` column is ProbeRatio's kernel rule: push-relabel for
+//     a fresh build of at least kPushRelabelMinArcs arcs, warm-started
+//     Dinic for every re-solve; the `push_relabel` column re-solves cold
+//     and is the evidence for keeping re-solves on Dinic.
 //
 // The guess ladder is decided once (feasible iff max flow < W', the total
 // source capacity) and replayed identically by every column, and every
@@ -39,7 +41,6 @@
 #include "bench_common.h"
 #include "flow/dds_network.h"
 #include "flow/dinic.h"
-#include "flow/flow_engine.h"
 #include "flow/push_relabel.h"
 #include "util/flags.h"
 #include "util/stats.h"
@@ -336,9 +337,8 @@ int Main(int argc, const char* const* argv) {
     }();
     const double probe_pr = time_probe(
         [](DdsNetwork* network, bool fresh) {
-          // flow_engine = push_relabel semantics: no warm start, so every
-          // reuse resets the flow and re-solves cold on the reused
-          // topology.
+          // Push-relabel has no warm start: every reuse resets the flow
+          // and re-solves cold on the reused topology.
           if (!fresh) network->net.ResetFlow();
           PushRelabel solver(&network->net);
           return solver.Solve(network->source, network->sink);
@@ -348,15 +348,13 @@ int Main(int argc, const char* const* argv) {
       std::vector<Dinic> storage;
       return time_probe(
           [&](DdsNetwork* network, bool fresh) {
-            // flow_engine = auto semantics: warm-started Dinic for the
-            // incremental re-solves; the fresh build goes to push-relabel
-            // iff the network clears the size cutoff (it does for every
-            // kernel dataset here — asserted so the column stays honest
-            // if the datasets or the cutoff change).
+            // ProbeRatio's rule: warm-started Dinic for the incremental
+            // re-solves; the fresh build goes to push-relabel iff the
+            // network clears the size cutoff.
             if (fresh) {
               storage.clear();
               storage.emplace_back(&network->net);
-              if (network->net.NumArcs() >= kAutoPushRelabelMinArcs) {
+              if (network->net.NumArcs() >= kPushRelabelMinArcs) {
                 PushRelabel solver(&network->net);
                 return solver.Solve(network->source, network->sink);
               }

@@ -54,19 +54,6 @@ int main(int argc, char** argv) {
       "wall-clock budget in seconds; 0 = none. An expired flow-based "
       "exact solve (flow/dc/core-exact) returns the incumbent with "
       "certified [lower, upper] bounds; naive/lp-exact run to completion");
-  bool* fresh_probes = flags.Bool(
-      "fresh_probes", false,
-      "disable the parametric probe engine (rebuild + cold-solve the flow "
-      "network at every guess) — the ablation baseline; applies to the "
-      "exact solvers, weighted or not, and never changes the answer");
-  // The one source of truth for this help string is the flow registry.
-  std::string* flow_engine_name = flags.String(
-      "flow_engine", "auto",
-      "max-flow kernel for the exact min-cut probes (" +
-          FlowEngineNamesHelp() +
-          "); auto = warm-started Dinic on incremental re-solves, "
-          "push-relabel on large fresh builds, Dinic otherwise. Never "
-          "changes the answer");
   int64_t* threads = flags.Int64(
       "threads", 1,
       "shared-memory workers for the solve: fans the peel ladder, the "
@@ -130,17 +117,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  FlowEngine flow_engine = FlowEngine::kAuto;
-  if (!ParseFlowEngineName(*flow_engine_name, &flow_engine)) {
-    std::fprintf(stderr, "unknown --flow_engine '%s'; known: %s\n",
-                 flow_engine_name->c_str(), FlowEngineNamesHelp().c_str());
-    return 1;
-  }
-
   DdsRequest request;
   request.algorithm = *algorithm;
-  request.exact.incremental_probe = !*fresh_probes;
-  request.exact.flow_engine = flow_engine;
   request.threads = static_cast<int>(*threads);
   if (*deadline_s > 0) request.deadline_seconds = *deadline_s;
 

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
               "boosted products\n",
               100 * Overlap(verdict.pair.s, platform.planted_s),
               100 * Overlap(verdict.pair.t, platform.planted_t));
-  const double planted_density = DirectedDensity(
+  const double planted_density = PairDensity(
       platform.graph, platform.planted_s, platform.planted_t);
   std::printf("planted block density %.3f vs. found density %.3f\n",
               planted_density, verdict.density);

@@ -62,7 +62,7 @@ int main() {
       static_cast<long long>(approx.stats.prior_engine_solves + 1));
 
   // The density of any pair can be evaluated directly.
-  const double fans_to_celebs = DirectedDensity(graph, {0, 1, 2}, {3, 4});
+  const double fans_to_celebs = PairDensity(graph, {0, 1, 2}, {3, 4});
   std::printf("\nrho({fans}, {celebrities}) = %.4f\n", fans_to_celebs);
   return 0;
 }

@@ -13,7 +13,6 @@
 #include "dds/solver.h"
 #include "flow/dds_network.h"
 #include "flow/dinic.h"
-#include "flow/flow_engine.h"
 #include "flow/min_cut.h"
 #include "flow/push_relabel.h"
 #include "util/logging.h"
@@ -479,12 +478,10 @@ RatioProbeResult ProbeRatio(const G& g,
   // built so far can outgrow the snapshot and forces a rebuild.
   // `network.net` lives at a stable address across rebuild-by-assignment,
   // so both kernels wrap it once and the residual state carries over.
-  // Engine dispatch (flow/flow_engine.h): kAuto answers fresh builds with
-  // push-relabel and warm-started re-solves with Dinic — push-relabel has
-  // no warm start, so forcing it makes every reuse reset the flow and
-  // re-solve cold on the reused topology. Either way the minimal min cut
-  // (residual source side) is the same, so the witnesses — and with them
-  // the whole search trajectory — do not depend on the engine.
+  // Whichever kernel a min cut goes to (below), both leave the same
+  // minimal min cut (residual source side), so the witnesses — and with
+  // them the whole search trajectory — do not depend on the kernel
+  // (DESIGN.md §12).
   DdsNetwork network;
   Dinic dinic(&network.net);
   PushRelabel push_relabel(&network.net);
@@ -576,15 +573,11 @@ RatioProbeResult ProbeRatio(const G& g,
       u = guess;
       continue;
     }
-    // kAuto: warm Dinic whenever the residual state survives, and for
-    // fresh solves push-relabel only on networks big enough for its setup
-    // cost to pay off (flow_engine.h's E2/E8-calibrated cutoff).
+    // Warm Dinic whenever the residual state survives; push-relabel has no
+    // warm start and pays off only on big fresh networks.
     const bool use_push_relabel =
-        options.flow_engine == FlowEngine::kPushRelabel ||
-        (options.flow_engine == FlowEngine::kAuto && !reuse &&
-         network.net.NumArcs() >= kAutoPushRelabelMinArcs);
+        !reuse && network.net.NumArcs() >= kPushRelabelMinArcs;
     if (use_push_relabel) {
-      if (reuse) network.net.ResetFlow();  // push-relabel has no warm start
       push_relabel.Solve(network.source, network.sink);
       result.flow.arcs_scanned += push_relabel.arcs_scanned();
       result.flow.global_relabels += push_relabel.num_global_relabels();

@@ -8,7 +8,6 @@
 #include "dds/control.h"
 #include "dds/result.h"
 #include "flow/dds_network.h"
-#include "flow/flow_engine.h"
 #include "graph/digraph.h"
 #include "util/stern_brocot.h"
 
@@ -72,13 +71,6 @@ struct ExactOptions {
   /// each guess's network on the per-guess refined core, which can be
   /// smaller than the snapshot this engine solves on.
   bool incremental_probe = true;
-  /// Which max-flow kernel answers the min-cut probes (flow/flow_engine.h).
-  /// Pure performance knob: results are bit-identical across engines
-  /// because every engine reports the same minimal min cut. `kAuto` runs
-  /// warm-started Dinic on incremental reparameterized re-solves and, on
-  /// fresh network builds, push-relabel when the network has at least
-  /// kAutoPushRelabelMinArcs residual arcs, Dinic below (DESIGN.md §12).
-  FlowEngine flow_engine = FlowEngine::kAuto;
   /// Record per-network node counts in SolverStats::network_sizes.
   bool record_network_sizes = false;
   /// Safety limit for the non-D&C exhaustive ratio enumeration, which
@@ -155,8 +147,11 @@ struct ProbeWorkspace {
 /// divide-and-conquer engine passes `stop_below` = incumbent /
 /// phi(interval), the weakest bound that still lets both adjacent
 /// subintervals be pruned. Of `options`, only the probe-engine knobs are
-/// read: `refine_cores_in_probe`, `record_network_sizes`,
-/// `incremental_probe` and `flow_engine`.
+/// read: `refine_cores_in_probe`, `record_network_sizes` and
+/// `incremental_probe`. The max-flow kernel is picked per min cut from
+/// the network: warm-started Dinic on reparameterized re-solves, and on
+/// fresh builds push-relabel from kPushRelabelMinArcs arcs up, Dinic
+/// below (DESIGN.md §12).
 ///
 /// With `incremental_probe` set (the default), the probe runs on the
 /// parametric engine: a network is kept across guesses and retargeted to

@@ -13,9 +13,7 @@
 /// directed density rho(S,T) = w(E(S,T)) / sqrt(|S| |T|), where
 /// E(S,T) = {(u,v) in E : u in S, v in T}, w sums edge weights (the edge
 /// count on the unweighted instantiation) and S, T may overlap. The
-/// templates below serve both weight policies; the historical unweighted
-/// names (CountPairEdges, DirectedDensity, LinearizedDensity) remain as
-/// thin wrappers.
+/// templates below serve both weight policies.
 
 namespace ddsgraph {
 
@@ -68,31 +66,6 @@ extern template double PairLinearizedDensity<Digraph>(const Digraph&,
                                                       double);
 extern template double PairLinearizedDensity<WeightedDigraph>(
     const WeightedDigraph&, const DdsPair&, double);
-
-/// |E(S,T)|: edges leaving `s` and landing in `t`.
-inline int64_t CountPairEdges(const Digraph& g,
-                              const std::vector<VertexId>& s,
-                              const std::vector<VertexId>& t) {
-  return PairWeight(g, s, t);
-}
-
-/// rho(S,T) = |E(S,T)| / sqrt(|S||T|); 0 if either side is empty.
-inline double DirectedDensity(const Digraph& g,
-                              const std::vector<VertexId>& s,
-                              const std::vector<VertexId>& t) {
-  return PairDensity(g, s, t);
-}
-
-/// Convenience overload.
-inline double DirectedDensity(const Digraph& g, const DdsPair& pair) {
-  return PairDensity(g, pair);
-}
-
-/// Linearized density at ratio a: 2|E(S,T)| / (|S|/sqrt(a) + sqrt(a)|T|).
-inline double LinearizedDensity(const Digraph& g, const DdsPair& pair,
-                                double sqrt_ratio) {
-  return PairLinearizedDensity(g, pair, sqrt_ratio);
-}
 
 /// The AM/GM mismatch factor phi(r) = (sqrt(r) + 1/sqrt(r)) / 2 >= 1 used by
 /// the ratio-interval pruning bound: rho(S,T) <= h(c) * phi(a/c) whenever

@@ -183,12 +183,6 @@ Status ValidateRequest(const DdsRequest& request) {
             "ExactOptions::max_exhaustive_n must be >= 1, got " +
             std::to_string(request.exact.max_exhaustive_n));
       }
-      if (FlowEngineName(request.exact.flow_engine) == nullptr) {
-        return Status::InvalidArgument(
-            "unknown FlowEngine value " +
-            std::to_string(static_cast<int>(request.exact.flow_engine)) +
-            "; known: " + FlowEngineNamesHelp());
-      }
       break;
     case DdsAlgorithm::kPeelApprox:
       if (!(request.peel.epsilon > 0) ||

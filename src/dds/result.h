@@ -26,8 +26,8 @@ struct FlowCounters {
   /// the engine-neutral measure of flow work (E8).
   int64_t arcs_scanned = 0;
   int64_t global_relabels = 0;       ///< push-relabel exact-height rebuilds
-  /// Max-flow solves answered by each kernel — what `flow_engine = auto`
-  /// actually dispatched per probe.
+  /// Max-flow solves answered by each kernel — what the probe's size rule
+  /// (DESIGN.md §12) actually dispatched.
   int64_t flow_solves_dinic = 0;
   int64_t flow_solves_push_relabel = 0;
   int64_t binary_search_iters = 0;   ///< total guesses across all ratios

@@ -1,6 +1,7 @@
 #ifndef DDSGRAPH_FLOW_PUSH_RELABEL_H_
 #define DDSGRAPH_FLOW_PUSH_RELABEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -11,14 +12,22 @@
 /// relabeling (exact reverse-BFS heights, re-run every O(n + m) units of
 /// discharge/relabel work on top of the initial backward-BFS labelling).
 ///
-/// This is the fresh-build engine of choice for the exact DDS probes
-/// (`flow_engine = auto`, DESIGN.md §12): on a cold network it reaches the
-/// max flow with far fewer arc scans than Dinic's phase-by-phase blocking
-/// flows, while Dinic keeps the warm-started incremental re-solves. The
-/// test suite also cross-checks the two engines against each other on
-/// random networks.
+/// The exact DDS probes answer fresh builds of at least
+/// kPushRelabelMinArcs arcs with it (DESIGN.md §12): on a big cold network
+/// it reaches the max flow with far fewer arc scans than Dinic's
+/// phase-by-phase blocking flows, while Dinic keeps the warm-started
+/// incremental re-solves and the small networks. The test suite
+/// cross-checks the two kernels' flow values and minimal min cuts on
+/// random and DDS networks.
 
 namespace ddsgraph {
+
+/// Residual-arc count from which a fresh probe network is solved with
+/// push-relabel instead of Dinic. Calibrated on E2 (small core-pruned
+/// networks, where push-relabel's per-solve setup cost 1.2-1.6x) and E8
+/// (>= ~36k-arc kernel datasets, where it wins the cold rmat/planted
+/// solves).
+inline constexpr size_t kPushRelabelMinArcs = 32768;
 
 class PushRelabel {
  public:

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "dds/solver.h"
-#include "flow/flow_engine.h"
 #include "util/logging.h"
 
 namespace ddsgraph {
@@ -53,8 +52,6 @@ std::string CanonicalRequestKey(const DdsRequest& request) {
       key += o.approx_warm_start ? '1' : '0';
       key += ";incr=";
       key += o.incremental_probe ? '1' : '0';
-      key += ";flow=";
-      key += FlowEngineName(o.flow_engine);
       key += ";trace=";
       key += o.record_network_sizes ? '1' : '0';
       key += ";maxn=";

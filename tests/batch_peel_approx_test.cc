@@ -30,8 +30,8 @@ TEST(BatchPeelApproxTest, BicliqueIsRecovered) {
 TEST(BatchPeelApproxTest, SelfConsistentReporting) {
   const Digraph g = RmatDigraph(7, 800, 4);
   const DdsSolution sol = BatchPeelApprox(g);
-  EXPECT_NEAR(sol.density, DirectedDensity(g, sol.pair), 1e-12);
-  EXPECT_EQ(sol.pair_edges, CountPairEdges(g, sol.pair.s, sol.pair.t));
+  EXPECT_NEAR(sol.density, PairDensity(g, sol.pair), 1e-12);
+  EXPECT_EQ(sol.pair_edges, PairWeight(g, sol.pair.s, sol.pair.t));
   EXPECT_GE(sol.upper_bound, sol.density);
   EXPECT_GT(sol.stats.ratios_probed, 0);
   EXPECT_GT(sol.stats.binary_search_iters, 0);  // total passes

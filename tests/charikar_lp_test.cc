@@ -55,7 +55,7 @@ TEST(CharikarLpTest, LpUpperBoundsAnyPairAtThatRatio) {
         if (s_mask & (1u << v)) pair.s.push_back(v);
         if (t_mask & (1u << v)) pair.t.push_back(v);
       }
-      EXPECT_GE(result.lp_value + 1e-7, DirectedDensity(g, pair));
+      EXPECT_GE(result.lp_value + 1e-7, PairDensity(g, pair));
     }
   }
 }

@@ -7,6 +7,7 @@
 #include "dds/density.h"
 #include "flow/dinic.h"
 #include "flow/min_cut.h"
+#include "flow/push_relabel.h"
 #include "graph/generators.h"
 
 namespace ddsgraph {
@@ -103,7 +104,7 @@ TEST(DdsNetworkTest, ExtractedPairMatchesCutSemantics) {
   ASSERT_FALSE(pair.s.empty());
   ASSERT_FALSE(pair.t.empty());
   const DdsPair dds_pair{pair.s, pair.t};
-  EXPECT_GT(LinearizedDensity(g, dds_pair, sqrt_a), guess);
+  EXPECT_GT(PairLinearizedDensity(g, dds_pair, sqrt_a), guess);
   for (VertexId u = 0; u < 3; ++u) {
     EXPECT_NE(std::find(pair.s.begin(), pair.s.end(), u), pair.s.end())
         << "biclique source " << u << " missing from cut";
@@ -121,7 +122,57 @@ TEST(DdsNetworkTest, InfeasibleGuessYieldsTrivialCut) {
   const auto side = SourceSideOfMinCut(net.net, net.source);
   const ExtractedPair pair = ExtractPairFromCut(net, side);
   const DdsPair dds_pair{pair.s, pair.t};
-  EXPECT_LE(LinearizedDensity(g, dds_pair, 1.0), 10.0);
+  EXPECT_LE(PairLinearizedDensity(g, dds_pair, 1.0), 10.0);
+}
+
+// The kernel-independence the exact probes rely on: over a binary-search
+// guess ladder, warm-reparameterized Dinic, cold Dinic and cold
+// push-relabel leave the same residual source side, so whichever kernel
+// the probe dispatches to, the extracted witness is the same.
+template <typename G>
+void ExpectKernelsAgreeOnGuessLadder(const G& g) {
+  std::vector<VertexId> all(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) all[v] = v;
+  for (double a : {0.5, 1.0, 2.0}) {
+    const double sqrt_a = std::sqrt(a);
+    double l = 0;
+    double u = std::sqrt(static_cast<double>(g.TotalWeight()) *
+                         static_cast<double>(g.MaxEdgeWeight()));
+    DdsNetwork warm = BuildDdsNetwork(g, all, all, sqrt_a, 0.5 * (l + u));
+    Dinic warm_dinic(&warm.net);
+    warm_dinic.Solve(warm.source, warm.sink);
+    for (int step = 0; step < 30; ++step) {
+      const double guess = 0.5 * (l + u);
+      if (step > 0) {
+        warm.Reparameterize(guess);
+        warm_dinic.Resolve(warm.source, warm.sink);
+      }
+      DdsNetwork cold = BuildDdsNetwork(g, all, all, sqrt_a, guess);
+      Dinic(&cold.net).Solve(cold.source, cold.sink);
+      DdsNetwork cold_pr = BuildDdsNetwork(g, all, all, sqrt_a, guess);
+      PushRelabel(&cold_pr.net).Solve(cold_pr.source, cold_pr.sink);
+
+      const std::vector<bool> side = SourceSideOfMinCut(cold.net, cold.source);
+      EXPECT_EQ(SourceSideOfMinCut(warm.net, warm.source), side)
+          << "a " << a << " step " << step;
+      EXPECT_EQ(SourceSideOfMinCut(cold_pr.net, cold_pr.source), side)
+          << "a " << a << " step " << step;
+
+      const ExtractedPair pair = ExtractPairFromCut(cold, side);
+      const DdsPair dds_pair{pair.s, pair.t};
+      const bool feasible = !dds_pair.Empty() &&
+                            PairLinearizedDensity(g, dds_pair, sqrt_a) > guess;
+      (feasible ? l : u) = guess;
+    }
+  }
+}
+
+TEST(DdsNetworkTest, KernelsLeaveTheSameMinimalCutAcrossAGuessLadder) {
+  for (uint64_t seed : {4ull, 5ull}) {
+    ExpectKernelsAgreeOnGuessLadder(UniformDigraph(40, 240, seed));
+    ExpectKernelsAgreeOnGuessLadder(RmatDigraph(6, 300, seed));
+    ExpectKernelsAgreeOnGuessLadder(UniformWeightedDigraph(40, 240, seed));
+  }
 }
 
 }  // namespace

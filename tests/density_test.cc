@@ -15,49 +15,49 @@ Digraph SmallGraph() {
   return Digraph::FromEdges(3, {{0, 1}, {0, 2}, {1, 2}, {2, 0}});
 }
 
-TEST(CountPairEdgesTest, Basic) {
+TEST(PairWeightTest, Basic) {
   const Digraph g = SmallGraph();
-  EXPECT_EQ(CountPairEdges(g, {0}, {1, 2}), 2);
-  EXPECT_EQ(CountPairEdges(g, {0, 1}, {2}), 2);
-  EXPECT_EQ(CountPairEdges(g, {2}, {0}), 1);
-  EXPECT_EQ(CountPairEdges(g, {1}, {0}), 0);
+  EXPECT_EQ(PairWeight(g, {0}, {1, 2}), 2);
+  EXPECT_EQ(PairWeight(g, {0, 1}, {2}), 2);
+  EXPECT_EQ(PairWeight(g, {2}, {0}), 1);
+  EXPECT_EQ(PairWeight(g, {1}, {0}), 0);
 }
 
-TEST(CountPairEdgesTest, EmptySidesGiveZero) {
+TEST(PairWeightTest, EmptySidesGiveZero) {
   const Digraph g = SmallGraph();
-  EXPECT_EQ(CountPairEdges(g, {}, {0, 1, 2}), 0);
-  EXPECT_EQ(CountPairEdges(g, {0}, {}), 0);
+  EXPECT_EQ(PairWeight(g, {}, {0, 1, 2}), 0);
+  EXPECT_EQ(PairWeight(g, {0}, {}), 0);
 }
 
-TEST(CountPairEdgesTest, OverlappingSides) {
+TEST(PairWeightTest, OverlappingSides) {
   // S = T = V counts all edges.
   const Digraph g = SmallGraph();
-  EXPECT_EQ(CountPairEdges(g, {0, 1, 2}, {0, 1, 2}), 4);
+  EXPECT_EQ(PairWeight(g, {0, 1, 2}, {0, 1, 2}), 4);
 }
 
-TEST(DirectedDensityTest, KnownValues) {
+TEST(PairDensityTest, KnownValues) {
   const Digraph g = SmallGraph();
-  EXPECT_NEAR(DirectedDensity(g, {0}, {1, 2}), 2.0 / std::sqrt(2.0), 1e-12);
-  EXPECT_NEAR(DirectedDensity(g, {0, 1, 2}, {0, 1, 2}), 4.0 / 3.0, 1e-12);
-  EXPECT_EQ(DirectedDensity(g, {}, {0}), 0.0);
+  EXPECT_NEAR(PairDensity(g, {0}, {1, 2}), 2.0 / std::sqrt(2.0), 1e-12);
+  EXPECT_NEAR(PairDensity(g, {0, 1, 2}, {0, 1, 2}), 4.0 / 3.0, 1e-12);
+  EXPECT_EQ(PairDensity(g, {}, {0}), 0.0);
 }
 
-TEST(DirectedDensityTest, BicliqueDensity) {
+TEST(PairDensityTest, BicliqueDensity) {
   const Digraph g = BicliqueWithNoise(7, 3, 4, 0, 1);
   std::vector<VertexId> s{0, 1, 2};
   std::vector<VertexId> t{3, 4, 5, 6};
-  EXPECT_NEAR(DirectedDensity(g, s, t), 12.0 / std::sqrt(12.0), 1e-12);
+  EXPECT_NEAR(PairDensity(g, s, t), 12.0 / std::sqrt(12.0), 1e-12);
 }
 
-TEST(LinearizedDensityTest, EqualsTrueDensityAtOwnRatio) {
+TEST(PairLinearizedDensityTest, EqualsTrueDensityAtOwnRatio) {
   const Digraph g = SmallGraph();
   const DdsPair pair{{0}, {1, 2}};  // ratio 1/2
   const double sqrt_a = std::sqrt(0.5);
-  EXPECT_NEAR(LinearizedDensity(g, pair, sqrt_a),
-              DirectedDensity(g, pair), 1e-12);
+  EXPECT_NEAR(PairLinearizedDensity(g, pair, sqrt_a),
+              PairDensity(g, pair), 1e-12);
 }
 
-TEST(LinearizedDensityTest, NeverExceedsTrueDensity) {
+TEST(PairLinearizedDensityTest, NeverExceedsTrueDensity) {
   // AM-GM: linearized <= true density for every ratio guess.
   Rng rng(5);
   const Digraph g = UniformDigraph(20, 80, 3);
@@ -69,8 +69,8 @@ TEST(LinearizedDensityTest, NeverExceedsTrueDensity) {
     }
     if (pair.Empty()) continue;
     for (double a : {0.2, 0.7, 1.0, 1.9, 5.0}) {
-      EXPECT_LE(LinearizedDensity(g, pair, std::sqrt(a)),
-                DirectedDensity(g, pair) + 1e-12);
+      EXPECT_LE(PairLinearizedDensity(g, pair, std::sqrt(a)),
+                PairDensity(g, pair) + 1e-12);
     }
   }
 }

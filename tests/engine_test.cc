@@ -248,26 +248,6 @@ TEST(ValidateRequestTest, RejectsBadOptions) {
   bad_epsilon.algorithm = DdsAlgorithm::kCoreApprox;
   EXPECT_TRUE(ValidateRequest(bad_epsilon).ok());
 
-  // A FlowEngine value outside the registry (e.g. from a miscast int) is
-  // rejected as a Status, not an abort — and, like peel.epsilon above,
-  // only by the algorithms that actually run flow probes.
-  DdsRequest bad_engine;
-  bad_engine.algorithm = DdsAlgorithm::kCoreExact;
-  bad_engine.exact.flow_engine = static_cast<FlowEngine>(42);
-  EXPECT_EQ(ValidateRequest(bad_engine).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_FALSE(engine.Solve(bad_engine).ok());
-  bad_engine.algorithm = DdsAlgorithm::kCoreApprox;
-  EXPECT_TRUE(ValidateRequest(bad_engine).ok());
-  for (FlowEngine good :
-       {FlowEngine::kAuto, FlowEngine::kDinic, FlowEngine::kPushRelabel}) {
-    DdsRequest request;
-    request.algorithm = DdsAlgorithm::kCoreExact;
-    request.exact.flow_engine = good;
-    EXPECT_TRUE(ValidateRequest(request).ok())
-        << FlowEngineName(good);
-  }
-
   DdsRequest bad_algorithm;
   bad_algorithm.algorithm = static_cast<DdsAlgorithm>(123);
   EXPECT_EQ(ValidateRequest(bad_algorithm).code(),

@@ -20,8 +20,8 @@ constexpr double kExactTol = 1e-6;
 
 void ExpectValidSolution(const Digraph& g, const DdsSolution& sol) {
   // The reported density must be exactly the density of the reported pair.
-  EXPECT_NEAR(sol.density, DirectedDensity(g, sol.pair), 1e-12);
-  EXPECT_EQ(sol.pair_edges, CountPairEdges(g, sol.pair.s, sol.pair.t));
+  EXPECT_NEAR(sol.density, PairDensity(g, sol.pair), 1e-12);
+  EXPECT_EQ(sol.pair_edges, PairWeight(g, sol.pair.s, sol.pair.t));
 }
 
 TEST(FlowExactTest, SingleEdge) {
@@ -152,105 +152,22 @@ TEST_P(ExactOptionsTest, AllFlagCombinationsAgree) {
 INSTANTIATE_TEST_SUITE_P(FlagMasks, ExactOptionsTest,
                          ::testing::Range(0, 16));
 
-// ---------------------------------------------------------------------
-// Flow-engine matrix: the max-flow kernel is a pure performance knob.
-// Every engine reports the same minimal min cut (the residual
-// source-reachable set is engine-independent), so the whole solve —
-// witness pairs included — must be *bit-identical* across engines,
-// incremental and fresh probes alike, for every preset and for weighted
-// graphs too.
-// ---------------------------------------------------------------------
-
-// The three published presets the engine implements (DESIGN.md §3).
-ExactOptions PresetOptions(int preset) {
-  ExactOptions options;
-  if (preset == 0) {  // FlowExact: exhaustive ratio enumeration
-    options.divide_and_conquer = false;
-    options.core_pruning = false;
-    options.refine_cores_in_probe = false;
-    options.approx_warm_start = false;
-  } else if (preset == 1) {  // DcExact: D&C only
-    options.core_pruning = false;
-    options.refine_cores_in_probe = false;
-    options.approx_warm_start = false;
-  }
-  // preset 2 = CoreExact = defaults.
-  return options;
-}
-
-template <typename G>
-void ExpectEngineMatrixBitIdentical(const G& g) {
-  ExactOptions baseline_options = PresetOptions(0);
-  for (int preset = 0; preset < 3; ++preset) {
-    const DdsSolution baseline = SolveExactDds(g, PresetOptions(preset));
-    for (FlowEngine engine :
-         {FlowEngine::kAuto, FlowEngine::kDinic, FlowEngine::kPushRelabel}) {
-      for (bool incremental : {true, false}) {
-        ExactOptions options = PresetOptions(preset);
-        options.flow_engine = engine;
-        options.incremental_probe = incremental;
-        const DdsSolution sol = SolveExactDds(g, options);
-        const std::string label =
-            std::string("preset ") + std::to_string(preset) + " engine " +
-            FlowEngineName(engine) +
-            (incremental ? " incremental" : " fresh");
-        EXPECT_EQ(sol.density, baseline.density) << label;  // bit-exact
-        EXPECT_EQ(sol.pair.s, baseline.pair.s) << label;
-        EXPECT_EQ(sol.pair.t, baseline.pair.t) << label;
-        EXPECT_EQ(sol.pair_edges, baseline.pair_edges) << label;
-      }
-    }
-    // The presets agree with each other up to tolerance (not bit-exactly:
-    // they follow different ratio trajectories).
-    EXPECT_NEAR(baseline.density, SolveExactDds(g, baseline_options).density,
-                kExactTol);
-  }
-}
-
-class FlowEngineMatrixTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(FlowEngineMatrixTest, EnginesBitIdenticalAcrossPresets) {
-  const uint64_t seed = static_cast<uint64_t>(GetParam());
-  const Digraph g = UniformDigraph(10, 30 + 4 * static_cast<int64_t>(seed),
-                                   seed + 77);
-  ExpectEngineMatrixBitIdentical(g);
-}
-
-TEST_P(FlowEngineMatrixTest, EnginesBitIdenticalOnWeightedGraphs) {
-  const uint64_t seed = static_cast<uint64_t>(GetParam());
-  const WeightedDigraph g = UniformWeightedDigraph(
-      9, 26 + 3 * static_cast<int64_t>(seed), seed + 177);
-  ExpectEngineMatrixBitIdentical(g);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FlowEngineMatrixTest, ::testing::Range(0, 4));
-
-// What `auto` actually dispatches, visible through the per-kernel solve
-// counters: Dinic for warm incremental re-solves always, and — below the
-// kAutoPushRelabelMinArcs fresh-solve cutoff, which every network of a
-// graph this size is — Dinic for fresh builds too.
-TEST(FlowEngineTest, AutoStaysOnDinicForSmallNetworks) {
+// The probe's kernel dispatch, visible through the per-kernel counters:
+// Dinic for warm incremental re-solves always, and — below the
+// kPushRelabelMinArcs fresh-build cutoff, which every network of a graph
+// this size is — Dinic for fresh builds too, so push-relabel's global
+// relabels never run.
+TEST(KernelDispatchTest, StaysOnDinicBelowTheCutoff) {
   const Digraph g = UniformDigraph(24, 130, 12);
   for (bool incremental : {true, false}) {
-    ExactOptions options;  // defaults: auto engine
+    ExactOptions options;
     options.incremental_probe = incremental;
     const DdsSolution sol = SolveExactDds(g, options);
     EXPECT_GT(sol.stats.flow_solves_dinic, 0) << incremental;
     EXPECT_EQ(sol.stats.flow_solves_push_relabel, 0) << incremental;
     EXPECT_GT(sol.stats.arcs_scanned, 0) << incremental;
+    EXPECT_EQ(sol.stats.global_relabels, 0) << incremental;
   }
-
-  ExactOptions forced_pr;
-  forced_pr.flow_engine = FlowEngine::kPushRelabel;
-  const DdsSolution pr_only = SolveExactDds(g, forced_pr);
-  EXPECT_EQ(pr_only.stats.flow_solves_dinic, 0);
-  EXPECT_GT(pr_only.stats.flow_solves_push_relabel, 0);
-
-  ExactOptions forced_dinic;
-  forced_dinic.flow_engine = FlowEngine::kDinic;
-  const DdsSolution dinic_only = SolveExactDds(g, forced_dinic);
-  EXPECT_EQ(dinic_only.stats.flow_solves_push_relabel, 0);
-  EXPECT_GT(dinic_only.stats.flow_solves_dinic, 0);
 }
 
 // Planted ground truth at a known ratio: the exact solvers must find the
@@ -259,7 +176,7 @@ TEST(CoreExactTest, RecoversPlantedBlock) {
   const PlantedDigraph planted =
       PlantedDenseBlock(120, 240, 8, 12, 1.0, 5);
   const DdsSolution sol = SolveExactDds(planted.graph, ExactOptions{});
-  const double planted_density = DirectedDensity(
+  const double planted_density = PairDensity(
       planted.graph, planted.planted_s, planted.planted_t);
   EXPECT_GE(sol.density + kExactTol, planted_density);
   ExpectValidSolution(planted.graph, sol);

@@ -77,7 +77,7 @@ TEST(PlantedDenseBlockTest, BlockIsPresentAndDisjoint) {
               0);
   }
   // With block_density = 1 every S->T edge exists.
-  EXPECT_EQ(CountPairEdges(planted.graph, planted.planted_s,
+  EXPECT_EQ(PairWeight(planted.graph, planted.planted_s,
                            planted.planted_t),
             10 * 15);
 }
@@ -85,7 +85,7 @@ TEST(PlantedDenseBlockTest, BlockIsPresentAndDisjoint) {
 TEST(PlantedDenseBlockTest, BlockIsTheDensestRegion) {
   const PlantedDigraph planted =
       PlantedDenseBlock(300, 600, 12, 12, 1.0, 33);
-  const double planted_density = DirectedDensity(
+  const double planted_density = PairDensity(
       planted.graph, planted.planted_s, planted.planted_t);
   EXPECT_NEAR(planted_density, 12.0, 1e-9);  // 144 / sqrt(144)
   // Background noise alone cannot reach that density: 600 edges spread over

@@ -56,8 +56,8 @@ TEST_P(FamilyIntegrationTest, AllSolversAreConsistent) {
   EXPECT_NEAR(exact.density, dc.density, 1e-6);
   // Every solution reports the true density of its own pair.
   for (const DdsSolution* sol : {&exact, &dc, &core_approx, &peel}) {
-    EXPECT_NEAR(sol->density, DirectedDensity(g, sol->pair), 1e-9);
-    EXPECT_EQ(sol->pair_edges, CountPairEdges(g, sol->pair.s, sol->pair.t));
+    EXPECT_NEAR(sol->density, PairDensity(g, sol->pair), 1e-9);
+    EXPECT_EQ(sol->pair_edges, PairWeight(g, sol->pair.s, sol->pair.t));
   }
   // Approximations are bracketed: rho/2-ish below, their certified upper
   // bound above the optimum.

@@ -66,7 +66,7 @@ TEST(NaiveExactTest, SolutionDensityIsConsistent) {
                   std::sqrt(static_cast<double>(sol.pair.s.size()) *
                             static_cast<double>(sol.pair.t.size())),
               1e-12);
-  EXPECT_EQ(sol.pair_edges, CountPairEdges(g, sol.pair.s, sol.pair.t));
+  EXPECT_EQ(sol.pair_edges, PairWeight(g, sol.pair.s, sol.pair.t));
 }
 
 TEST(NaiveExactDeathTest, RejectsLargeGraphs) {

@@ -208,9 +208,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReparameterizeTest, ::testing::Range(0, 10));
 // results versus fresh-build-per-guess mode across generator families.
 // --------------------------------------------------------------------
 
+// Returns the incremental run's result for callers that check more.
 template <typename G>
-void ExpectProbesIdentical(const G& g, const Fraction& ratio,
-                           bool refine_cores) {
+RatioProbeResult ExpectProbesIdentical(const G& g, const Fraction& ratio,
+                                       bool refine_cores) {
   const double upper = std::sqrt(static_cast<double>(g.TotalWeight()) *
                                  static_cast<double>(g.MaxEdgeWeight()));
   const double delta = ExactSearchDelta(g);
@@ -245,6 +246,7 @@ void ExpectProbesIdentical(const G& g, const Fraction& ratio,
     EXPECT_LT(incremental.flow.flow_networks_built,
               fresh.flow.flow_networks_built);
   }
+  return incremental;
 }
 
 TEST(IncrementalProbeEquivalenceTest, UniformFamily) {
@@ -287,6 +289,20 @@ TEST(IncrementalProbeEquivalenceTest, PlantedFamily) {
       ExpectProbesIdentical(planted.graph, ratio, /*refine_cores=*/true);
     }
   }
+}
+
+// Above kPushRelabelMinArcs the incremental probe answers its fresh build
+// with push-relabel and the reparameterized re-solves with warm Dinic, while
+// the fresh-build-per-guess run answers every guess with push-relabel; both
+// kernels leave the same minimal min cut, so the runs agree bit for bit. At
+// 2048 vertices a uniform graph's full network clears the cutoff from about
+// 10.5k edges; 12k leaves some margin (~36k arcs).
+TEST(IncrementalProbeEquivalenceTest, BothKernelsRunAboveTheCutoff) {
+  const Digraph g = UniformDigraph(2048, 12000, 3);
+  const RatioProbeResult incremental =
+      ExpectProbesIdentical(g, Fraction{1, 1}, /*refine_cores=*/false);
+  EXPECT_GT(incremental.flow.flow_solves_push_relabel, 0);
+  EXPECT_GT(incremental.flow.flow_solves_dinic, 0);
 }
 
 // End-to-end: the full exact solver agrees bit-exactly between modes, and

@@ -34,8 +34,8 @@ TEST(PeelApproxTest, BicliqueIsRecovered) {
 TEST(PeelApproxTest, SolutionIsSelfConsistent) {
   const Digraph g = RmatDigraph(7, 900, 6);
   const DdsSolution sol = PeelApprox(g);
-  EXPECT_NEAR(sol.density, DirectedDensity(g, sol.pair), 1e-12);
-  EXPECT_EQ(sol.pair_edges, CountPairEdges(g, sol.pair.s, sol.pair.t));
+  EXPECT_NEAR(sol.density, PairDensity(g, sol.pair), 1e-12);
+  EXPECT_EQ(sol.pair_edges, PairWeight(g, sol.pair.s, sol.pair.t));
   EXPECT_GE(sol.upper_bound, sol.density);
   EXPECT_GT(sol.stats.ratios_probed, 0);
 }

@@ -48,7 +48,7 @@ TEST(RegressionTest, PlantedBlockRecoveredAtScale) {
   const PlantedDigraph planted =
       PlantedDenseBlock(2000, 8000, 20, 30, 0.95, 123);
   const DdsSolution exact = SolveExactDds(planted.graph, ExactOptions{});
-  const double planted_density = DirectedDensity(
+  const double planted_density = PairDensity(
       planted.graph, planted.planted_s, planted.planted_t);
   EXPECT_GE(exact.density + 1e-6, planted_density);
   // The found pair must be essentially the planted block: ratios match and

@@ -41,7 +41,7 @@ TEST(SolverTest, AllAlgorithmsRunOnSmallGraph) {
     request.algorithm = algorithm;
     const DdsSolution sol = engine.Solve(request).value();
     EXPECT_GT(sol.density, 0.0) << AlgorithmName(algorithm);
-    EXPECT_NEAR(sol.density, DirectedDensity(g, sol.pair), 1e-9)
+    EXPECT_NEAR(sol.density, PairDensity(g, sol.pair), 1e-9)
         << AlgorithmName(algorithm);
     if (IsExactAlgorithm(algorithm)) {
       if (exact_density < 0) {

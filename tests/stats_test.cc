@@ -1,6 +1,8 @@
 #include "util/stats.h"
 
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -56,17 +58,22 @@ TEST(StatsTest, SummarizeEmpty) {
 // ---------------------------------------------------------------------
 
 TEST(SolverStatsTest, KernelCountersFilledByExactSolve) {
-  const Digraph g = UniformDigraph(20, 110, 21);
-  // Force push-relabel so both kernels' counters are exercised: under
-  // `auto` a graph this small stays below the fresh-solve cutoff and
-  // would run Dinic only.
-  ExactOptions pr_options;
-  pr_options.flow_engine = FlowEngine::kPushRelabel;
-  const DdsSolution pr_sol = SolveExactDds(g, pr_options);
-  EXPECT_GT(pr_sol.stats.flow_solves_push_relabel, 0);
-  EXPECT_EQ(pr_sol.stats.flow_solves_dinic, 0);
-  EXPECT_GT(pr_sol.stats.arcs_scanned, 0);
+  // A probe whose fresh network clears kPushRelabelMinArcs runs
+  // push-relabel there and warm Dinic on the re-solves, so both kernels'
+  // counters are exercised.
+  const Digraph big = UniformDigraph(2048, 12000, 3);
+  std::vector<VertexId> all(big.NumVertices());
+  for (VertexId v = 0; v < big.NumVertices(); ++v) all[v] = v;
+  const RatioProbeResult probe = ProbeRatio(
+      big, all, all,
+      {Fraction{1, 1}, 0.0, std::sqrt(static_cast<double>(big.NumEdges())),
+       ExactSearchDelta(big)},
+      ExactOptions{});
+  EXPECT_GT(probe.flow.flow_solves_push_relabel, 0);
+  EXPECT_GT(probe.flow.flow_solves_dinic, 0);
+  EXPECT_GT(probe.flow.arcs_scanned, 0);
 
+  const Digraph g = UniformDigraph(20, 110, 21);
   const DdsSolution sol = SolveExactDds(g, ExactOptions{});
   EXPECT_GT(sol.stats.arcs_scanned, 0);
   EXPECT_GT(sol.stats.flow_solves_dinic, 0);
@@ -77,16 +84,6 @@ TEST(SolverStatsTest, KernelCountersFilledByExactSolve) {
   EXPECT_GT(sol.stats.flow_solves_dinic + sol.stats.flow_solves_push_relabel,
             0);
   EXPECT_GE(sol.stats.global_relabels, 0);
-}
-
-TEST(SolverStatsTest, ForcedDinicScansArcsWithoutGlobalRelabels) {
-  const Digraph g = UniformDigraph(16, 70, 23);
-  ExactOptions options;
-  options.flow_engine = FlowEngine::kDinic;
-  const DdsSolution sol = SolveExactDds(g, options);
-  EXPECT_GT(sol.stats.arcs_scanned, 0);
-  EXPECT_EQ(sol.stats.flow_solves_push_relabel, 0);
-  EXPECT_EQ(sol.stats.global_relabels, 0);  // a push-relabel-only counter
 }
 
 TEST(SolverStatsTest, ToStringCarriesKernelCounters) {

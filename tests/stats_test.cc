@@ -86,6 +86,16 @@ TEST(SolverStatsTest, KernelCountersFilledByExactSolve) {
   EXPECT_GE(sol.stats.global_relabels, 0);
 }
 
+// Below the push-relabel cutoff every solve runs Dinic, which scans arcs
+// but never runs a global relabel (a push-relabel-only counter).
+TEST(SolverStatsTest, DinicScansArcsWithoutGlobalRelabels) {
+  const Digraph g = UniformDigraph(16, 70, 23);
+  const DdsSolution sol = SolveExactDds(g, ExactOptions{});
+  EXPECT_GT(sol.stats.arcs_scanned, 0);
+  EXPECT_EQ(sol.stats.flow_solves_push_relabel, 0);
+  EXPECT_EQ(sol.stats.global_relabels, 0);
+}
+
 TEST(SolverStatsTest, ToStringCarriesKernelCounters) {
   SolverStats stats;
   stats.arcs_scanned = 12345;

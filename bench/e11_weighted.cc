@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 #include "bench_common.h"
 #include "core/core_approx.h"
@@ -168,6 +169,8 @@ int Main(int argc, const char* const* argv) {
     std::ostringstream json;
     json << "{\n  \"experiment\": \"e11_weighted\",\n  \"n\": " << n
          << ",\n  \"noise_edges\": " << noise
+         << ",\n  \"hardware_concurrency\": "
+         << std::thread::hardware_concurrency()
          << ",\n  \"note\": \"the hand-mirrored WeightedCoreExact engine "
             "was deleted when the exact engine went weight-generic; "
             "weighted_core_exact_fresh (rebuild-per-guess) is the "

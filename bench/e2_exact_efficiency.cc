@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 #include "bench_common.h"
 #include "dds/core_exact.h"
@@ -60,7 +61,9 @@ int Main(int argc, const char* const* argv) {
   Table t({"dataset", "n", "m", "rho_opt", "lp-exact", "flow-exact",
            "dc-exact", "core-exact", "core-serve", "speedup(flow/core)"});
   std::ostringstream json;
-  json << "{\n  \"experiment\": \"e2_exact_efficiency\",\n  \"datasets\": [";
+  json << "{\n  \"experiment\": \"e2_exact_efficiency\",\n  "
+          "\"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n  \"datasets\": [";
   bool first_dataset = true;
   for (const Dataset& d : ExactDatasets(*quick)) {
     DdsSolution flow;

@@ -36,6 +36,7 @@
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -196,6 +197,8 @@ int Main(int argc, const char* const* argv) {
   std::ostringstream json;
   json << "{\n  \"experiment\": \"e8_flow_kernel\",\n  \"guesses\": "
        << *num_guesses << ",\n  \"reps\": " << *reps
+       << ",\n  \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency()
        << ",\n  \"datasets\": [";
   std::vector<double> speedups;
   bool first_dataset = true;

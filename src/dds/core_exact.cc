@@ -146,7 +146,7 @@ struct ContextProbe {
 
 // Probes `ratio` in the interval context (lo_ctx, hi_ctx): candidates are
 // located in the [x,y]-core implied by `incumbent_density` and the
-// context (when core pruning is on). The binary search starts from 0 so
+// context (when core pruning is on). The search starts from 0 so
 // that the returned h_upper genuinely tracks h(ratio) — that is what
 // powers the interval pruning — but is truncated at `stop_below` (see
 // header). Reads only the fields of `state` that are fixed for the whole
@@ -510,7 +510,19 @@ RatioProbeResult ProbeRatio(const G& g,
       // Exit before the next min cut; u and l stay certified (see header).
       if (control->ShouldStop(progress)) break;
     }
-    const double guess = 0.5 * (l + u);
+    // Bisect until the first witness; from then on ask only whether
+    // anything beats the witness by half a spacing (the parametric /
+    // Dinkelbach step), so the first empty cut closes the gap — or, while
+    // the witness is still below `stop_below`, whether anything reaches
+    // the truncation threshold at all, so one empty cut ends a truncated
+    // probe. Every Newton guess sits above every earlier feasible guess,
+    // so the network built by then serves to the end (DESIGN.md §7).
+    double guess = 0.5 * (l + u);
+    if (l > window.lower_start) {
+      guess = std::max(l + 0.5 * window.delta, window.stop_below);
+      // Large weighted densities: l + delta/2 may round back to l.
+      if (guess <= l) guess = std::nextafter(l, u);
+    }
     if (guess <= l || guess >= u) break;  // double precision exhausted
     ++result.flow.binary_search_iters;
 

@@ -27,7 +27,7 @@
 /// (DESIGN.md §3), which is also how the ablation experiment E7 is run:
 ///
 ///   * FlowExact  (baseline "BS-Exact"): probe every realizable ratio
-///     p/q (p, q <= n) with a binary search of min-cut feasibility tests on
+///     p/q (p, q <= n) with a search of min-cut feasibility tests on
 ///     the whole graph — the Khuller-Saha-style state of the art the paper
 ///     compares against.
 ///   * DcExact: explore the ratio space by divide and conquer, pruning
@@ -35,15 +35,15 @@
 ///   * CoreExact (the paper's algorithm): DcExact plus (i) warm-starting
 ///     the incumbent with CoreApprox, (ii) locating candidates inside the
 ///     [x,y]-core implied by the incumbent and the ratio interval, and
-///     (iii) re-peeling the core as the binary search's lower bound rises,
+///     (iii) re-peeling the core as the probe's lower bound rises,
 ///     so flow networks shrink across iterations.
 ///
 /// Correctness invariants maintained throughout (see core_exact.cc):
 ///   * the incumbent is always a real pair with exactly evaluated density;
 ///   * every interval is discarded only under a certified upper bound;
 ///   * feasibility of a guess is decided by exhibiting a witness pair from
-///     the min cut and evaluating it exactly, so the lower bound of the
-///     binary search never rests on floating-point flow values.
+///     the min cut and evaluating it exactly, so the lower bound of a
+///     probe never rests on floating-point flow values.
 
 namespace ddsgraph {
 
@@ -55,14 +55,14 @@ struct ExactOptions {
   /// Restrict each probe to the [x,y]-core implied by the incumbent
   /// density and the ratio interval (Pruning 1/2 of the paper).
   bool core_pruning = true;
-  /// Within a probe, re-peel the candidate core each time the binary
-  /// search raises its lower bound, shrinking the flow networks
+  /// Within a probe, re-peel the candidate core each time the search
+  /// raises its lower bound, shrinking the flow networks
   /// (Pruning 3 / "networks gradually become smaller").
   bool refine_cores_in_probe = true;
   /// Seed the incumbent (and the global upper bound) with CoreApprox.
   bool approx_warm_start = true;
   /// Run each ratio probe on the parametric engine: build the flow network
-  /// once per candidate set, Reparameterize between binary-search guesses,
+  /// once per candidate set, Reparameterize between guesses,
   /// and warm-start the max flow from the previous residual state
   /// (DESIGN.md §7). Off = rebuild + cold-solve at every guess over the
   /// same candidate snapshots (so both modes follow bit-identical
@@ -96,7 +96,7 @@ struct ExactOptions {
 /// Outcome of probing a single ratio value.
 struct RatioProbeResult {
   /// Certified upper bound on the max linearized density at this ratio
-  /// over the candidate sets (the final `u` of the binary search).
+  /// over the candidate sets (the search's final `u`).
   double h_upper = 0;
   /// Highest witnessed linearized density (final `l`), or `lower_start`
   /// if no feasible guess was found.
@@ -114,14 +114,16 @@ struct RatioProbeResult {
 struct ProbeWindow {
   Fraction ratio;
   /// A value below which the search need not certify anything (0 for a
-  /// full h(a) computation).
+  /// full h(a) computation). The probe bisects until its first witness
+  /// lifts `l` above it, then takes Newton steps.
   double lower_start = 0;
   /// A certified upper bound on the max linearized density.
   double upper_start = 0;
   /// Termination gap (see ExactSearchDelta).
   double delta = 0;
-  /// Truncates the descent: once the upper bound u falls to or below it,
-  /// the probe exits early with h_upper = u.
+  /// Truncates the search: once the upper bound u falls to or below it,
+  /// the probe exits early with h_upper = u. After a witness below it the
+  /// next guess is `stop_below` itself, so one empty cut ends the probe.
   double stop_below = 0;
 };
 
@@ -141,9 +143,14 @@ struct ProbeWorkspace {
   XyCoreScratch refine_scratch;
 };
 
-/// Binary search with min-cut feasibility tests at `window.ratio`,
-/// restricted to the given candidate sides, from `window.lower_start` up
-/// to `window.upper_start` until the gap closes below `window.delta`. The
+/// Min-cut feasibility search at `window.ratio`, restricted to the given
+/// candidate sides, over [`window.lower_start`, `window.upper_start`]
+/// until the gap closes below `window.delta`. Until the first feasible
+/// cut the search bisects; from then on it asks only whether anything
+/// beats the current witness, guessing `l + delta/2` (or the next double
+/// above `l` once that rounds back to `l`; or `stop_below` while the
+/// witness is still below it), and the first empty cut ends the probe
+/// (DESIGN.md §3). The
 /// divide-and-conquer engine passes `stop_below` = incumbent /
 /// phi(interval), the weakest bound that still lets both adjacent
 /// subintervals be pruned. Of `options`, only the probe-engine knobs are
@@ -160,7 +167,9 @@ struct ProbeWorkspace {
 /// shrinks and the sink capacities only grow, so the network stays valid
 /// and the old max flow stays feasible; when the guess falls below every
 /// previously built level the core can outgrow the network's node set,
-/// and only then is the network rebuilt (DESIGN.md §7). Without it the
+/// and only then is the network rebuilt (DESIGN.md §7). Guesses fall only
+/// before the first witness, so the network valid at the first feasible
+/// guess serves the rest of the probe. Without it the
 /// probe rebuilds and re-solves from scratch at every guess over the
 /// *same* candidate sets; both modes follow identical search trajectories
 /// (same guesses, same node sets, same minimal min cuts, hence identical
@@ -171,6 +180,9 @@ struct ProbeWorkspace {
 /// still a certified upper bound — u only ever decreased under certified
 /// infeasibility — and last_feasible / best_pair are still witnessed, so a
 /// truncated probe degrades gracefully to a looser but valid certificate.
+/// After the first witness `u` stays at the last infeasible bisection
+/// guess until the final empty cut, so a probe truncated in that phase
+/// certifies a looser `h_upper` than a bisecting probe would have.
 /// A null `workspace` runs on private scratch.
 template <typename G>
 RatioProbeResult ProbeRatio(const G& g,
@@ -190,7 +202,7 @@ extern template RatioProbeResult ProbeRatio<WeightedDigraph>(
     const std::vector<VertexId>&, const ProbeWindow&, const ExactOptions&,
     ProbeWorkspace*, SolveControl*);
 
-/// Termination gap for the binary searches: below the minimum spacing of
+/// Termination gap for the ratio probes: below the minimum spacing of
 /// distinct (linearized) density values, clamped to [1e-12, 1e-4]. For
 /// graphs small enough that the exact spacing bound 1/(2 W n^3) exceeds
 /// 1e-12 (W = total edge weight, = m unweighted) the search is provably

@@ -212,6 +212,9 @@ void RequestScheduler::Process(std::unique_ptr<Flight> flight) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!flight->flight_key.empty()) inflight_.erase(flight->flight_key);
     waiters = std::move(flight->waiters);
+    // Counted before any `done` runs: a client that reads `served` right
+    // after its answer arrives must already see its own solve.
+    served_ += static_cast<int64_t>(waiters.size());
   }
 
   for (size_t i = 0; i < waiters.size(); ++i) {
@@ -236,8 +239,6 @@ void RequestScheduler::Process(std::unique_ptr<Flight> flight) {
     }
     waiters[i].done(std::move(response));
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  served_ += static_cast<int64_t>(waiters.size());
 }
 
 void RequestScheduler::Stop() {

@@ -1,8 +1,10 @@
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "dds/core_exact.h"
+#include "dds/density.h"
 #include "dds/naive_exact.h"
 #include "graph/generators.h"
 
@@ -132,6 +134,110 @@ TEST(ProbeRatioTest, HUpperIsSoundAcrossRatios) {
     EXPECT_LE(naive.density, probe.h_upper * phi + 1e-6)
         << "ratio " << ratio.ToString();
   }
+}
+
+// ------------------------------------------------ bisect, then Newton
+
+TEST(CoreExactNewtonTest, SolvesNeedFewSearchItersPerRatio) {
+  // Bisection to delta costs ~30 cuts per probed ratio; once a witness is
+  // in, the probe only asks "does anything beat it?", so a handful of cuts
+  // per ratio remain.
+  const Digraph graphs[] = {RmatDigraph(11, 16000, 2001),
+                            UniformDigraph(1024, 6000, 3)};
+  for (const Digraph& g : graphs) {
+    const DdsSolution solution = SolveExactDds(g, ExactOptions{});
+    ASSERT_GT(solution.stats.ratios_probed, 0);
+    EXPECT_LE(solution.stats.binary_search_iters,
+              6 * solution.stats.ratios_probed)
+        << "n=" << g.NumVertices() << " m=" << g.NumEdges();
+  }
+}
+
+TEST(ProbeRatioNewtonTest, FullWindowClosesGapBelowDelta) {
+  const Digraph g = RmatDigraph(8, 4000, 21);
+  const double upper = std::sqrt(static_cast<double>(g.NumEdges()));
+  const double delta = ExactSearchDelta(g);
+  const RatioProbeResult probe =
+      ProbeAll(g, {Fraction{1, 1}, 0.0, upper, delta}, true, false);
+  ASSERT_GT(probe.last_feasible, 0.0);
+  EXPECT_LT(probe.h_upper - probe.last_feasible, delta);
+  EXPECT_GE(probe.h_upper, probe.last_feasible);
+}
+
+TEST(ProbeRatioNewtonTest, WitnessBelowStopBelowEndsAfterOneCut) {
+  // Once a witness is in but still below the truncation threshold, the
+  // only question left is whether anything reaches the threshold: one
+  // empty cut there ends the probe with h_upper = stop_below.
+  const Digraph g = RmatDigraph(8, 4000, 21);
+  const double upper = std::sqrt(static_cast<double>(g.NumEdges()));
+  const double delta = ExactSearchDelta(g);
+  const RatioProbeResult full =
+      ProbeAll(g, {Fraction{1, 1}, 0.0, upper, delta}, true, false);
+  const double stop = full.h_upper + 1.0;
+  ASSERT_LT(stop, 0.5 * upper) << "the first guess must stay infeasible";
+  const RatioProbeResult truncated =
+      ProbeAll(g, {Fraction{1, 1}, 0.0, upper, delta, stop}, true, false);
+  ASSERT_GT(truncated.last_feasible, 0.0);
+  EXPECT_EQ(truncated.h_upper, stop);
+  EXPECT_LT(truncated.flow.binary_search_iters,
+            full.flow.binary_search_iters);
+}
+
+TEST(ProbeRatioNewtonTest, NextafterGuardClosesGapOnHugeWeights) {
+  // Weights near 1e6 put the densities where one ulp exceeds delta, so
+  // l + delta/2 rounds back to l: the guess must step to the next double
+  // above l, and the final empty cut must pin u there instead of leaving
+  // it at the last bisection guess.
+  WeightOptions heavy;
+  heavy.min_weight = 500000;
+  heavy.max_weight = 1000000;
+  const WeightedDigraph g = UniformWeightedDigraph(40, 300, 7, heavy);
+  const double delta = ExactSearchDelta(g);
+  const double upper = std::sqrt(static_cast<double>(g.TotalWeight()) *
+                                 static_cast<double>(g.MaxEdgeWeight()));
+  std::vector<VertexId> all(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) all[v] = v;
+  const RatioProbeResult probe = ProbeRatio(
+      g, all, all, {Fraction{1, 1}, 0.0, upper, delta}, ExactOptions{});
+  ASSERT_GT(probe.last_feasible, 0.0);
+  ASSERT_EQ(probe.last_feasible + 0.5 * delta, probe.last_feasible)
+      << "the graph no longer exercises the rounding guard";
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(probe.h_upper, std::nextafter(probe.last_feasible, inf));
+  EXPECT_GE(probe.h_upper, PairLinearizedDensity(g, probe.best_pair, 1.0));
+}
+
+TEST(ProbeRatioNewtonTest, TruncatedInNewtonPhaseStillCertifiesUpper) {
+  // sqrt(m) is far above h(1) here, so the first witness leaves a wide
+  // gap for the Newton phase to close.
+  const Digraph g = RmatDigraph(8, 4000, 21);
+  const double upper = std::sqrt(static_cast<double>(g.NumEdges()));
+  const RatioProbeResult full =
+      ProbeAll(g, {Fraction{1, 1}, 0.0, upper, 1e-6}, false, false);
+  // Stop at the first check after a witness: the probe is then in its
+  // Newton phase, with u still at the last infeasible bisection guess.
+  int checks_after_witness = 0;
+  SolveControl control(std::numeric_limits<double>::infinity(),
+                       [&](const DdsProgress& progress) {
+                         if (progress.lower_bound > 0) ++checks_after_witness;
+                         return progress.lower_bound == 0;
+                       });
+  ExactOptions options;
+  options.refine_cores_in_probe = false;
+  const std::vector<VertexId> all = AllVertices(g);
+  const RatioProbeResult truncated =
+      ProbeRatio(g, all, all, {Fraction{1, 1}, 0.0, upper, 1e-6}, options,
+                 nullptr, &control);
+  ASSERT_TRUE(control.stopped());
+  EXPECT_EQ(checks_after_witness, 1);
+  EXPECT_GT(truncated.last_feasible, 0.0);
+  EXPECT_GE(truncated.h_upper - truncated.last_feasible, 1e-6);
+  EXPECT_LT(truncated.flow.binary_search_iters,
+            full.flow.binary_search_iters);
+  // Looser than the full probe's, but still an upper bound on h(a).
+  EXPECT_GE(truncated.h_upper, full.last_feasible);
+  EXPECT_GE(truncated.h_upper, full.h_upper - 1e-6);
+  EXPECT_LE(truncated.last_feasible, full.h_upper);
 }
 
 }  // namespace

@@ -353,6 +353,40 @@ TEST(ServeSchedulerTest, StopDrainsEveryAdmittedRequest) {
   }
 }
 
+TEST(ServeSchedulerTest, ServedCountsTheSolveBeforeItsCallbackRuns) {
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.AddGraph("uni", UniformDigraph(30, 150, 5)).ok());
+  RequestScheduler scheduler(&catalog, SchedulerOptions{1, 4});
+  scheduler.Start();
+
+  // A client that reads `served` as soon as its answer arrives must see
+  // its own solve counted; the callback is the earliest such moment.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  int64_t served_in_callback = -1;
+  ASSERT_TRUE(scheduler
+                  .Submit(MakeRequest("uni", DdsAlgorithm::kCoreExact),
+                          [&](ServeResponse response) {
+                            EXPECT_TRUE(response.status.ok());
+                            const int64_t served = scheduler.served();
+                            {
+                              std::lock_guard<std::mutex> lock(mu);
+                              served_in_callback = served;
+                              done = true;
+                            }
+                            cv.notify_all();
+                          })
+                  .ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done; });
+  }
+  scheduler.Stop();
+  EXPECT_GE(served_in_callback, 1);
+  EXPECT_EQ(scheduler.served(), 1);
+}
+
 // --------------------------------------------------------------- server
 
 class ServeServerTest : public ::testing::Test {

@@ -150,11 +150,10 @@ struct ProbeWorkspace {
 /// beats the current witness, guessing `l + delta/2` (or the next double
 /// above `l` once that rounds back to `l`; or `stop_below` while the
 /// witness is still below it), and the first empty cut ends the probe
-/// (DESIGN.md §3). The
-/// divide-and-conquer engine passes `stop_below` = incumbent /
-/// phi(interval), the weakest bound that still lets both adjacent
-/// subintervals be pruned. Of `options`, only the probe-engine knobs are
-/// read: `refine_cores_in_probe`, `record_network_sizes` and
+/// (DESIGN.md §3). The divide-and-conquer engine passes `stop_below` =
+/// incumbent / phi(interval), the weakest bound that still lets both
+/// adjacent subintervals be pruned. Of `options`, only the probe-engine
+/// knobs are read: `refine_cores_in_probe`, `record_network_sizes` and
 /// `incremental_probe`. The max-flow kernel is picked per min cut from
 /// the network: warm-started Dinic on reparameterized re-solves, and on
 /// fresh builds push-relabel from kPushRelabelMinArcs arcs up, Dinic

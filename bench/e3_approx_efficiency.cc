@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 #include "bench_common.h"
 #include "core/core_approx.h"
@@ -73,11 +74,13 @@ int Main(int argc, const char* const* argv) {
             "rho_w(core)", "rho_w(peel)", "unit-peel overhead"});
   std::ostringstream json;
   json << "{\n  \"experiment\": \"e3_approx_efficiency\",\n"
+       << "  \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n"
        << "  \"note\": \"weighted = geometric AttachRandomWeights; "
           "unit_peel_overhead = all-weights-1 weighted peel time / "
-          "unweighted peel time (same trajectory; the hybrid peel queue "
-          "picks the bucket backend for unit lifts, so this is pure "
-          "weight-plumbing overhead, not heap vs bucket)\",\n"
+          "unweighted peel time (same trajectory, bucket queue vs bucket "
+          "queue: the hybrid peel queue picks the bucket backend for unit "
+          "lifts, so this is pure weight-plumbing overhead)\",\n"
           "  \"datasets\": [";
   bool first_json_row = true;
 

@@ -131,6 +131,30 @@ DdsSolution PeelApprox(const G& g, const PeelApproxOptions& options) {
   ladder.push_back(hi);
   solution.stats.ratios_probed = static_cast<int64_t>(ladder.size());
 
+  // A rung's ratio a enters a pass only through PeelPass's test
+  // s*sqrt(a) <= t/sqrt(a), i.e. s*a <= t, on integer keys s <= D_out and
+  // t <= D_in. It ignores a when s = 0 (take S) or t = 0 < s (take T);
+  // with s, t >= 1 it always takes S when a*D_out < 1 and always takes T
+  // when a > D_in. So every rung of the run below 1/D_out peels exactly
+  // like the run's first rung, and likewise above D_in: only each end
+  // run's first rung is peeled, under its own ladder index, which is the
+  // one the (density desc, rung asc) merge below would pick anyway. The
+  // relative margin keeps rounding from flipping a comparison; a rung
+  // near either boundary is simply peeled (DESIGN.md §4).
+  const double d_out = static_cast<double>(g.MaxWeightedOutDegree());
+  const double d_in = static_cast<double>(g.MaxWeightedInDegree());
+  // -1 below 1/D_out (always S), +1 above D_in (always T), 0 in between.
+  auto end_run = [&](double a) {
+    if (a * d_out < 1.0 - 1e-9) return -1;
+    return a > d_in * (1.0 + 1e-9) ? 1 : 0;
+  };
+  std::vector<int64_t> rungs;
+  for (size_t i = 0; i < ladder.size(); ++i) {
+    const int run = end_run(ladder[i]);
+    if (i > 0 && run != 0 && run == end_run(ladder[i - 1])) continue;
+    rungs.push_back(static_cast<int64_t>(i));
+  }
+
   // The rungs are independent read-only passes, fanned out across the
   // pool. Each worker keeps its champion pass *with the recorded removal
   // sequence*, so the winner is materialized from the recording instead
@@ -148,7 +172,8 @@ DdsSolution PeelApprox(const G& g, const PeelApproxOptions& options) {
   std::vector<std::vector<std::pair<VertexId, int>>> scratch(
       static_cast<size_t>(pool.num_workers()));
   pool.ParallelFor(
-      static_cast<int64_t>(ladder.size()), [&](int64_t i, int worker) {
+      static_cast<int64_t>(rungs.size()), [&](int64_t k, int worker) {
+        const int64_t i = rungs[static_cast<size_t>(k)];
         auto& removals = scratch[static_cast<size_t>(worker)];
         removals.clear();
         const double a = ladder[static_cast<size_t>(i)];

@@ -25,8 +25,9 @@
 ///
 /// Complexity: O((n + m) * log(n) / eps) at unit weights using monotone
 /// bucket queues; the weighted instantiation swaps in a lazy-deletion
-/// heap (util/peel_queue.h) for an extra log n on the queue operations —
-/// never O(W) anywhere.
+/// heap (util/peel_queue.h) when the weighted degrees are too wide for a
+/// bucket array, for an extra log n on the queue operations — never O(W)
+/// anywhere.
 
 namespace ddsgraph {
 
@@ -44,6 +45,10 @@ struct PeelApproxOptions {
 
 /// Runs the peeling baseline. stats.ratios_probed reports the number of
 /// ladder points; upper_bound carries the certified 2*phi(1+eps) bound.
+/// The passes run are the ladder's distinct ones: every rung below
+/// 1/MaxWeightedOutDegree() peels like the first such rung, and every rung
+/// above MaxWeightedInDegree() like the first rung past it, so only the
+/// first rung of each of these two end runs is peeled (DESIGN.md §4).
 /// Each pass records its removal sequence into per-worker scratch and the
 /// champion's sequence is kept, so the winning rung is materialized by
 /// replaying the recorded prefix instead of peeling the graph a second

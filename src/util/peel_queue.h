@@ -38,13 +38,15 @@
 /// LazyHeapQueue deliberately reproduces BucketQueue's *extraction order*,
 /// not just its min-key semantics: entries are ordered by (key ascending,
 /// push sequence descending), which is exactly the bucket array's
-/// scan-lowest-bucket + pop_back (LIFO within a bucket) discipline, and
-/// stale entries are skipped under the same `key_[item] != entry key`
-/// test. Two queues driven by the same operation sequence therefore pop
-/// the same items in the same order (cross-checked in
-/// tests/peel_queue_test.cc) — this is what makes all-weights-1 weighted
-/// peels bit-identical to their unweighted instantiations down to the
-/// tie-breaks, even though the two policies run different structures.
+/// scan-lowest-bucket + pop-front-of-the-latest-link (LIFO within a
+/// bucket) discipline. The heap stays lazy: a decrease-key pushes a new
+/// entry and the old one is skipped later under the `key_[item] != entry
+/// key` test, where the bucket queue unlinks the item in place. Two queues
+/// driven by the same operation sequence therefore pop the same items in
+/// the same order (cross-checked in tests/peel_queue_test.cc) — this is
+/// what makes all-weights-1 weighted peels bit-identical to their
+/// unweighted instantiations down to the tie-breaks, even though the two
+/// policies run different structures.
 
 namespace ddsgraph {
 
@@ -141,7 +143,7 @@ class LazyHeapQueue {
   };
 
   /// Strict weak order: smaller key first; among equal keys the *latest*
-  /// push first — BucketQueue's pop_back within a bucket.
+  /// push first — BucketQueue pops the latest link of a bucket first.
   static bool Before(const Entry& a, const Entry& b) {
     if (a.key != b.key) return a.key < b.key;
     return a.seq > b.seq;

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +86,70 @@ TEST(BucketQueueTest, ZeroKeySupported) {
   auto p = q.PopMin();
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->second, 0);
+}
+
+// Buckets are intrusive lists: unlinking an item from the head, middle or
+// tail of its bucket must leave the others in their pop order (latest
+// link first).
+TEST(BucketQueueTest, UnlinkHeadMiddleAndTailOfABucket) {
+  for (uint32_t victim = 0; victim < 3; ++victim) {
+    BucketQueue q(4, 10);
+    q.Insert(0, 4);  // tail of bucket 4
+    q.Insert(1, 4);  // middle
+    q.Insert(2, 4);  // head
+    q.Insert(3, 7);
+    q.Remove(victim);
+    std::vector<uint32_t> order;
+    while (const auto p = q.PopMin()) order.push_back(p->first);
+    std::vector<uint32_t> want;
+    for (uint32_t v : {2u, 1u, 0u}) {
+      if (v != victim) want.push_back(v);
+    }
+    want.push_back(3);
+    EXPECT_EQ(order, want) << "victim " << victim;
+  }
+  for (uint32_t mover = 0; mover < 3; ++mover) {
+    BucketQueue q(3, 10);
+    q.Insert(0, 4);
+    q.Insert(1, 4);
+    q.Insert(2, 4);
+    q.DecreaseKey(mover, 2);
+    EXPECT_EQ(q.PopMin()->first, mover);
+    std::vector<uint32_t> order;
+    while (const auto p = q.PopMin()) order.push_back(p->first);
+    std::vector<uint32_t> want;
+    for (uint32_t v : {2u, 1u, 0u}) {
+      if (v != mover) want.push_back(v);
+    }
+    EXPECT_EQ(order, want) << "mover " << mover;
+  }
+}
+
+TEST(BucketQueueTest, EqualKeyDecreaseKeepsBucketPosition) {
+  BucketQueue q(3, 10);
+  q.Insert(0, 5);
+  q.Insert(1, 5);
+  q.DecreaseKey(0, 5);  // no-op: 1 was linked later and still pops first
+  EXPECT_EQ(q.PopMin()->first, 1u);
+  EXPECT_EQ(q.PopMin()->first, 0u);
+}
+
+TEST(BucketQueueTest, PeekMinKeyAfterRemovingTheMinimum) {
+  BucketQueue q(4, 10);
+  q.Insert(0, 2);
+  q.Insert(1, 6);
+  q.Insert(2, 9);
+  EXPECT_EQ(q.PeekMinKey(), std::optional<int64_t>(2));
+  q.Remove(0);
+  EXPECT_EQ(q.PeekMinKey(), std::optional<int64_t>(6));
+  q.Remove(1);
+  EXPECT_EQ(q.PeekMinKey(), std::optional<int64_t>(9));
+  q.Insert(3, 1);  // below the advanced cursor
+  EXPECT_EQ(q.PeekMinKey(), std::optional<int64_t>(1));
+  q.Remove(3);
+  q.Remove(2);
+  EXPECT_FALSE(q.PeekMinKey().has_value());
+  EXPECT_FALSE(q.PopMin().has_value());
 }
 
 // Randomized comparison against a reference implementation (std::map from

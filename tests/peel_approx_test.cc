@@ -1,6 +1,9 @@
 #include "dds/peel_approx.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +84,149 @@ TEST_P(PeelApproxGuaranteeTest, GuaranteeHolds) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndDensities, PeelApproxGuaranteeTest,
     ::testing::Combine(::testing::Range(0, 12), ::testing::Range(0, 4)));
+
+// ------------------------------------------------ collapsed ladder end runs
+
+// Every rung below 1/D_out peels like the first such rung, and every rung
+// above D_in like the first rung past it, so PeelApprox peels only the
+// first rung of each end run. The values below were recorded from the
+// build that still peeled every rung; they must stay bit-identical.
+struct PeelPin {
+  double density;
+  int64_t pair_edges;
+  size_t s_size;
+  size_t t_size;
+  uint64_t pair_hash;  ///< FNV-1a over S, a separator, then T
+  int64_t ratios_probed;
+  double upper_bound;
+};
+
+uint64_t PairHash(const DdsPair& pair) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&](uint64_t x) {
+    h ^= x;
+    h *= 1099511628211ull;
+  };
+  for (VertexId v : pair.s) mix(v);
+  mix(0xffffffffull);
+  for (VertexId v : pair.t) mix(v);
+  return h;
+}
+
+// How many ladder rungs follow the first rung of their end run (the
+// closing rung at n not counted), with a wider margin than the solver's,
+// so a positive count means the collapse really skips passes.
+template <typename G>
+int64_t CollapsibleRungs(const G& g, double epsilon) {
+  const double n = g.NumVertices();
+  const double d_out = static_cast<double>(g.MaxWeightedOutDegree());
+  const double d_in = static_cast<double>(g.MaxWeightedInDegree());
+  int64_t low = 0;
+  int64_t high = 0;
+  for (double a = 1.0 / n; a < n; a *= 1.0 + epsilon) {
+    low += a * d_out < 0.999 ? 1 : 0;
+    high += a > 1.001 * d_in ? 1 : 0;
+  }
+  return std::max<int64_t>(low - 1, 0) + std::max<int64_t>(high - 1, 0);
+}
+
+template <typename G>
+void ExpectPinned(const G& g, const PeelPin& pin) {
+  EXPECT_GT(CollapsibleRungs(g, 0.1), 0);
+  for (int threads : {1, 2, 4}) {
+    PeelApproxOptions options;
+    options.threads = threads;
+    const DdsSolution sol = PeelApprox(g, options);
+    EXPECT_EQ(sol.density, pin.density) << "threads " << threads;
+    EXPECT_EQ(sol.pair_edges, pin.pair_edges) << "threads " << threads;
+    EXPECT_EQ(sol.pair.s.size(), pin.s_size) << "threads " << threads;
+    EXPECT_EQ(sol.pair.t.size(), pin.t_size) << "threads " << threads;
+    EXPECT_EQ(PairHash(sol.pair), pin.pair_hash) << "threads " << threads;
+    EXPECT_EQ(sol.lower_bound, pin.density) << "threads " << threads;
+    EXPECT_EQ(sol.upper_bound, pin.upper_bound) << "threads " << threads;
+    // The statistic still counts the whole ladder, collapsed rungs too.
+    EXPECT_EQ(sol.stats.ratios_probed, pin.ratios_probed);
+  }
+}
+
+int64_t LadderSize(uint32_t n, double epsilon) {
+  int64_t size = 1;  // the closing rung at n
+  for (double a = 1.0 / n; a < n; a *= 1.0 + epsilon) ++size;
+  return size;
+}
+
+const PeelPin kUniformPin = {0x1.eb05423c34c29p+2, 5509, 744, 693,
+                             0xf14dbf7ba7b8dbf9ull, 142,
+                             0x1.eb94051edf2dap+3};
+const PeelPin kPlantedPin = {0x1.58e35e2d6d7b3p+4, 528, 20, 30,
+                             0x6b909b0c643a852full, 170,
+                             0x1.5947a45ca9965p+5};
+
+TEST(PeelApproxPinnedTest, UniformGraphMatchesFullLadder) {
+  const Digraph g = UniformDigraph(800, 6000, 1);
+  EXPECT_EQ(LadderSize(g.NumVertices(), 0.1), kUniformPin.ratios_probed);
+  ExpectPinned(g, kUniformPin);
+}
+
+TEST(PeelApproxPinnedTest, PlantedBlockMatchesFullLadder) {
+  const Digraph g = PlantedDenseBlock(3000, 12000, 20, 30, 0.9, 7).graph;
+  EXPECT_EQ(LadderSize(g.NumVertices(), 0.1), kPlantedPin.ratios_probed);
+  ExpectPinned(g, kPlantedPin);
+  const DdsSolution sol = PeelApprox(g);
+  EXPECT_EQ(sol.pair.s,
+            (std::vector<VertexId>{182,  313,  401,  455,  469,  770,  836,
+                                   1211, 1354, 1398, 1624, 1682, 2101, 2195,
+                                   2518, 2618, 2642, 2816, 2943, 2972}));
+  EXPECT_EQ(sol.pair.t,
+            (std::vector<VertexId>{122,  146,  262,  386,  411,  514,
+                                   526,  530,  647,  843,  1063, 1274,
+                                   1439, 1677, 1771, 1954, 1996, 2002,
+                                   2053, 2064, 2232, 2248, 2318, 2462,
+                                   2470, 2660, 2755, 2760, 2949, 2953}));
+}
+
+TEST(PeelApproxPinnedTest, InStarCollapsesNearlyEveryLowRung) {
+  // Leaves 1..300 -> hub 0: D_out = 1, so every rung below ratio 1 (about
+  // half the ladder) peels identically.
+  std::vector<Edge> edges;
+  for (VertexId v = 1; v <= 300; ++v) edges.push_back({v, 0});
+  const Digraph g = Digraph::FromEdges(301, edges);
+  ASSERT_EQ(g.MaxWeightedOutDegree(), 1);
+  EXPECT_GT(CollapsibleRungs(g, 0.1), LadderSize(301, 0.1) / 3);
+  std::vector<VertexId> leaves;
+  for (VertexId v = 1; v <= 300; ++v) leaves.push_back(v);
+  DdsPair pair;
+  pair.s = leaves;
+  pair.t = {0};
+  ExpectPinned(g, PeelPin{0x1.1520cd1372feap+4, 300, 300, 1, PairHash(pair),
+                          121, 0x1.15715fd9b7489p+5});
+  const DdsSolution sol = PeelApprox(g);
+  EXPECT_EQ(sol.pair.s, leaves);
+  EXPECT_EQ(sol.pair.t, (std::vector<VertexId>{0}));
+}
+
+TEST(PeelApproxPinnedTest, WinnerNextToTheHighEndRunIsKept) {
+  // The best pair is the in-star of vertex 18 (ratio 8 = D_in), found on
+  // rungs just below the high end run; collapsing from 0.7 * D_in up
+  // instead of from D_in loses it (density 2.75 instead of sqrt(8)).
+  const Digraph g = UniformDigraph(160, 320, 3);
+  ASSERT_EQ(g.MaxWeightedInDegree(), 8);
+  const std::vector<VertexId> s = {4, 8, 43, 91, 106, 115, 124, 142};
+  DdsPair pair;
+  pair.s = s;
+  pair.t = {18};
+  ExpectPinned(g, PeelPin{0x1.6a09e667f3bccp+1, 8, 8, 1, PairHash(pair),
+                          108, 0x1.6a73291c84f5fp+2});
+  EXPECT_EQ(PeelApprox(g).pair.s, s);
+}
+
+TEST(PeelApproxPinnedTest, UnitWeightLiftsMatchFullLadder) {
+  ExpectPinned(WeightedDigraph::FromDigraph(UniformDigraph(800, 6000, 1)),
+               kUniformPin);
+  ExpectPinned(WeightedDigraph::FromDigraph(
+                   PlantedDenseBlock(3000, 12000, 20, 30, 0.9, 7).graph),
+               kPlantedPin);
+}
 
 // ------------------------------------------------------- weighted peeling
 

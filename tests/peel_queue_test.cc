@@ -1,5 +1,6 @@
 #include "util/peel_queue.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -120,6 +121,83 @@ TEST(PeelQueueTest, HeapMatchesBucketOnRandomMonotoneSequences) {
       EXPECT_EQ(bucket.Empty(), heap.Empty());
     }
     // Drain what is left; the full tail order must agree too.
+    while (true) {
+      const auto bp = bucket.PopMin();
+      const auto hp = heap.PopMin();
+      ASSERT_EQ(bp.has_value(), hp.has_value()) << "seed " << seed;
+      if (!bp.has_value()) break;
+      EXPECT_EQ(bp->first, hp->first) << "seed " << seed;
+      EXPECT_EQ(bp->second, hp->second) << "seed " << seed;
+    }
+  }
+}
+
+// Items leave (Remove or PopMin) and come back at the key they left with
+// while other items are linked into the same buckets in between. The
+// heap keeps stale entries for the departed items; the bucket queue
+// unlinks them. Both must still pop the same items in the same order.
+TEST(PeelQueueTest, HeapMatchesBucketWithReinsertsAtTheSameKey) {
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    const uint32_t n = 24;
+    const int64_t max_key = 12;  // few keys: buckets hold several items
+    BucketQueue bucket(n, max_key);
+    LazyHeapQueue heap(n, max_key);
+    std::vector<int64_t> key(n, -1);
+    std::vector<int64_t> last_key(n, -1);  // key the item last left with
+    auto insert = [&](uint32_t v, int64_t k) {
+      bucket.Insert(v, k);
+      heap.Insert(v, k);
+      key[v] = k;
+    };
+    auto leave = [&](uint32_t v) {
+      last_key[v] = key[v];
+      key[v] = -1;
+    };
+
+    for (int64_t ops = 0; ops < 3000; ++ops) {
+      const uint32_t v = static_cast<uint32_t>(rng.NextBounded(n));
+      const uint64_t roll = rng.NextBounded(10);
+      if (roll < 3) {
+        if (key[v] >= 0) continue;
+        // Mostly back at the key it left with, otherwise anywhere.
+        const bool same = last_key[v] >= 0 && rng.NextBounded(4) != 0;
+        insert(v, same ? last_key[v]
+                       : static_cast<int64_t>(rng.NextBounded(
+                             static_cast<uint64_t>(max_key) + 1)));
+      } else if (roll < 5) {
+        if (key[v] < 0) continue;
+        const int64_t nk = std::max<int64_t>(
+            0, key[v] - static_cast<int64_t>(rng.NextBounded(3)));
+        bucket.DecreaseKey(v, nk);
+        heap.DecreaseKey(v, nk);
+        key[v] = nk;
+      } else if (roll < 7) {
+        if (key[v] < 0) continue;
+        bucket.Remove(v);
+        heap.Remove(v);
+        leave(v);
+      } else if (roll == 7) {
+        EXPECT_EQ(bucket.PeekMinKey(), heap.PeekMinKey())
+            << "seed " << seed << " op " << ops;
+      } else {
+        const auto bp = bucket.PopMin();
+        const auto hp = heap.PopMin();
+        ASSERT_EQ(bp.has_value(), hp.has_value())
+            << "seed " << seed << " op " << ops;
+        if (bp.has_value()) {
+          ASSERT_EQ(bp->first, hp->first) << "seed " << seed << " op " << ops;
+          ASSERT_EQ(bp->second, hp->second)
+              << "seed " << seed << " op " << ops;
+          leave(bp->first);
+        }
+      }
+      ASSERT_EQ(bucket.Size(), heap.Size());
+      for (uint32_t u = 0; u < n; ++u) {
+        ASSERT_EQ(bucket.Contains(u), key[u] >= 0);
+        ASSERT_EQ(heap.Contains(u), key[u] >= 0);
+      }
+    }
     while (true) {
       const auto bp = bucket.PopMin();
       const auto hp = heap.PopMin();

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "graph/digraph_builder.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace ddsgraph {
@@ -73,6 +74,12 @@ double TimeOnce(const std::function<void()>& fn) {
   WallTimer timer;
   fn();
   return timer.Seconds();
+}
+
+double TimeMedian(int reps, const std::function<void()>& fn) {
+  std::vector<double> seconds;
+  for (int rep = 0; rep < reps; ++rep) seconds.push_back(TimeOnce(fn));
+  return Quantile(std::move(seconds), 0.5);
 }
 
 void PrintBanner(const std::string& experiment_id, const std::string& title) {

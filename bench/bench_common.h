@@ -48,6 +48,10 @@ Digraph EdgeFraction(const Digraph& g, double fraction);
 /// and deterministic; single-shot timing is the right protocol).
 double TimeOnce(const std::function<void()>& fn);
 
+/// Runs `fn` `reps` times and returns the median wall time in seconds,
+/// for solves short enough (a few ms) that one timing is mostly noise.
+double TimeMedian(int reps, const std::function<void()>& fn);
+
 /// Prints the experiment banner (id, title, substitution note).
 void PrintBanner(const std::string& experiment_id, const std::string& title);
 

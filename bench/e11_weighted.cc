@@ -88,6 +88,9 @@ int Main(int argc, const char* const* argv) {
   for (const WeightedEdge& e : edges) plain_edges.push_back({e.from, e.to});
   const Digraph g = Digraph::FromEdges(n, std::move(plain_edges));
 
+  // Every solve here takes ~5-15 ms, where one timing is mostly noise:
+  // each time is the median of kReps runs.
+  constexpr int kReps = 5;
   Table t({"solver", "objective", "rho", "|S|", "|T|", "S-range", "time"});
   DdsSolution plain;
   DdsSolution weighted;
@@ -95,8 +98,8 @@ int Main(int argc, const char* const* argv) {
   double t_weighted = 0;
   double t_weighted_fresh = 0;
   {
-    const double secs =
-        TimeOnce([&] { plain = SolveExactDds(g, ExactOptions{}); });
+    const double secs = TimeMedian(
+        kReps, [&] { plain = SolveExactDds(g, ExactOptions{}); });
     t.AddRow({"core-exact (unweighted)", "|E|/sqrt(|S||T|)",
               FormatDouble(plain.density, 3),
               std::to_string(plain.pair.s.size()),
@@ -104,24 +107,14 @@ int Main(int argc, const char* const* argv) {
               FormatSeconds(secs)});
   }
   {
-    // The two probe modes follow bit-identical trajectories, so the right
-    // noise-robust estimator for their ratio is best-of-N on each (after
-    // one untimed warmup to settle caches and the allocator); single-shot
-    // timing once reported a spurious <1.0 "speedup" here.
+    // The two probe modes follow bit-identical trajectories; single-shot
+    // timing once reported a spurious <1.0 "speedup" between them.
     ExactOptions fresh_options;
     fresh_options.incremental_probe = false;
-    (void)SolveExactDds(wg, ExactOptions{});
-    (void)SolveExactDds(wg, fresh_options);
-    t_weighted = 1e99;
-    t_weighted_fresh = 1e99;
-    for (int rep = 0; rep < 3; ++rep) {
-      t_weighted = std::min(
-          t_weighted,
-          TimeOnce([&] { weighted = SolveExactDds(wg, ExactOptions{}); }));
-      t_weighted_fresh = std::min(
-          t_weighted_fresh,
-          TimeOnce([&] { weighted_fresh = SolveExactDds(wg, fresh_options); }));
-    }
+    t_weighted = TimeMedian(
+        kReps, [&] { weighted = SolveExactDds(wg, ExactOptions{}); });
+    t_weighted_fresh = TimeMedian(
+        kReps, [&] { weighted_fresh = SolveExactDds(wg, fresh_options); });
     t.AddRow({"weighted core-exact (unified)", "w(E)/sqrt(|S||T|)",
               FormatDouble(weighted.density, 3),
               std::to_string(weighted.pair.s.size()),
@@ -137,7 +130,7 @@ int Main(int argc, const char* const* argv) {
   CoreApproxResult approx;
   double t_approx = 0;
   {
-    t_approx = TimeOnce([&] { approx = CoreApprox(wg); });
+    t_approx = TimeMedian(kReps, [&] { approx = CoreApprox(wg); });
     std::string core_cell = "[";
     core_cell += std::to_string(approx.best_x);
     core_cell += ",";
@@ -175,7 +168,9 @@ int Main(int argc, const char* const* argv) {
             "was deleted when the exact engine went weight-generic; "
             "weighted_core_exact_fresh (rebuild-per-guess) is the "
             "pre-parametric cost shape, weighted_core_exact the unified "
-            "engine with parametric probes\",\n";
+            "engine with parametric probes; every seconds value is the "
+            "median of "
+         << kReps << " runs\",\n";
     AppendSolverJson("weighted_core_exact", weighted, t_weighted, &json);
     json << ",\n";
     AppendSolverJson("weighted_core_exact_fresh", weighted_fresh,

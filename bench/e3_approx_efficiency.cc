@@ -53,7 +53,7 @@ int Main(int argc, const char* const* argv) {
   int64_t* threads = flags.Int64(
       "threads", 1,
       "worker count for the parallel solve layer (peel ladder fan-out, "
-      "batch-scan chunking, skyline batching); results are identical at "
+      "batch-scan chunking, core-search rounds); results are identical at "
       "any count, only the wall clock changes");
   std::string* json_out = flags.String(
       "json_out", "BENCH_e3.json",

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   int64_t* threads = flags.Int64(
       "threads", 1,
       "shared-memory workers for the solve: fans the peel ladder, the "
-      "skyline walk and the exact ratio-space search across a thread "
+      "core search and the exact ratio-space search across a thread "
       "pool. Approximations return identical solutions at any count; the "
       "exact solvers return the same optimum with schedule-dependent "
       "statistics. 1 = everything on the calling thread");

@@ -12,10 +12,9 @@
 /// Cores are nested in both coordinates, so the non-empty region of the
 /// (x, y) plane is a staircase described by y_max(x) — the largest y with a
 /// non-empty [x,y]-core — which is non-increasing in x. The approximation
-/// algorithm needs the staircase point maximizing x*y; because any
-/// non-empty core satisfies x*y <= m, the maximizer has min(x, y) <=
-/// sqrt(m), so sweeping x = 1..sqrt(m) here plus the transposed sweep on
-/// the reversed graph covers it (core_approx.cc).
+/// algorithm needs the staircase point maximizing x*y; it searches for it
+/// with `MaxYForX` peels directly (core/core_approx.h), while
+/// `CoreSkyline` lists the whole staircase.
 ///
 /// `MaxYForX` runs a single incremental peel per fixed x: enforce the
 /// x-constraint once, then raise y with a policy-selected peel queue
@@ -52,10 +51,10 @@ extern template int64_t MaxYForX<WeightedDigraph>(const WeightedDigraph&,
 /// point is the level's right-end corner (x_max(y), y), so x strictly
 /// increases and y strictly decreases across the result and every point
 /// is both y-maximal at its x and x-maximal at its y. The walk steps
-/// corner to corner with MaxYForX on the graph and its transpose (the
-/// CoreApprox sweep) — one pair of peels per distinct weighted-degree
-/// threshold rather than per integer x, which is what keeps the weighted
-/// instantiation O(#levels * (n + m)) instead of O(W) peels. With
+/// corner to corner with MaxYForX on the graph and its transpose — one
+/// pair of peels per distinct weighted-degree threshold rather than per
+/// integer x, which is what keeps the weighted instantiation
+/// O(#levels * (n + m)) instead of O(W) peels. With
 /// x_limit >= 1 the walk stops at x = x_limit; a level reaching past the
 /// cap is reported truncated at (x_limit, y), still realized and
 /// y-maximal but not x-maximal.
@@ -69,7 +68,7 @@ extern template int64_t MaxYForX<WeightedDigraph>(const WeightedDigraph&,
 /// returned points are identical at every worker count — the batch size
 /// changes only which peels are executed.
 /// `peels`, when non-null, receives the number of decomposition peels
-/// executed (the CoreApproxResult::sweeps accounting).
+/// executed.
 template <typename G>
 std::vector<SkylinePoint> CoreSkyline(const G& g, int64_t x_limit = -1,
                                       ThreadPool* pool = nullptr,

@@ -647,7 +647,7 @@ DdsSolution SolveExactDds(const G& g, const ExactOptions& options,
   DdsSolution solution;
   if (g.TotalWeight() == 0) return solution;
 
-  // One pool for the whole solve: the warm start's skyline walk and the
+  // One pool for the whole solve: the warm start's core search and the
   // ratio-space search share it. threads = 1 spawns nothing and runs
   // every phase inline on the caller.
   ThreadPool pool(options.threads);

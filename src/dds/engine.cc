@@ -17,8 +17,8 @@ namespace {
 
 // The registry adapter for the core 2-approximation: convert the
 // CoreApprox result shape into a DdsSolution with the certified
-// [density, 2 sqrt(x y)] bracket, reporting skyline sweeps through the
-// same ratios_probed counter every other solver uses.
+// [density, 2 sqrt(x y)] bracket, reporting the search's peels through
+// the same ratios_probed counter every other solver uses.
 template <typename G>
 DdsSolution CoreApproxSolution(const G& g, int threads) {
   ThreadPool pool(threads);

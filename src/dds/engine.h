@@ -68,7 +68,7 @@ struct DdsRequest {
   DdsProgressCallback progress;
   /// Worker count for the parallel solve layer (util/thread_pool.h,
   /// DESIGN.md §11): fans the peel ladder, the batch-peel threshold
-  /// scans, the core-approx skyline walk and the exact ratio-space
+  /// scans, the core-approx search's peels and the exact ratio-space
   /// search across this many shared-memory workers; 1 (the default) runs
   /// the same code inline on the calling thread. The approximations
   /// return bit-identical solutions for every thread count; the exact

@@ -93,15 +93,15 @@ std::string SolutionJson(const DdsSolution& solution,
     }
     os << "]";
   };
-  os << "{\"density\": " << FormatDouble(solution.density, 12)
+  os << "{\"density\": " << FormatRoundTrip(solution.density)
      << ", \"pair_edges\": " << solution.pair_edges
      << ", \"s_size\": " << solution.pair.s.size()
      << ", \"t_size\": " << solution.pair.t.size() << ", \"s\": ";
   vertex_list(solution.pair.s);
   os << ", \"t\": ";
   vertex_list(solution.pair.t);
-  os << ", \"lower_bound\": " << FormatDouble(solution.lower_bound, 12)
-     << ", \"upper_bound\": " << FormatDouble(solution.upper_bound, 12)
+  os << ", \"lower_bound\": " << FormatRoundTrip(solution.lower_bound)
+     << ", \"upper_bound\": " << FormatRoundTrip(solution.upper_bound)
      << ", \"interrupted\": " << (solution.interrupted ? "true" : "false")
      << ", \"stats\": {\"ratios_probed\": " << solution.stats.ratios_probed
      << ", \"flow_networks_built\": " << solution.stats.flow_networks_built

@@ -1,27 +1,14 @@
 #include "serve/response_cache.h"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "dds/solver.h"
 #include "util/logging.h"
+#include "util/table.h"
 
 namespace ddsgraph {
-
-namespace {
-
-// Shortest round-trippable decimal form: two doubles canonicalize to the
-// same text iff they are the same value, which is exactly the key
-// equality the cache needs.
-std::string DoubleKey(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string CanonicalRequestKey(const DdsRequest& request) {
   std::string key = AlgorithmName(request.algorithm);
@@ -60,13 +47,13 @@ std::string CanonicalRequestKey(const DdsRequest& request) {
     }
     case DdsAlgorithm::kPeelApprox:
       key += ";eps=";
-      key += DoubleKey(request.peel.epsilon);
+      key += FormatRoundTrip(request.peel.epsilon);
       break;
     case DdsAlgorithm::kBatchPeelApprox:
       key += ";leps=";
-      key += DoubleKey(request.batch_peel.ladder_epsilon);
+      key += FormatRoundTrip(request.batch_peel.ladder_epsilon);
       key += ";beps=";
-      key += DoubleKey(request.batch_peel.batch_epsilon);
+      key += FormatRoundTrip(request.batch_peel.batch_epsilon);
       break;
   }
   return key;

@@ -19,6 +19,12 @@ std::string FormatDouble(double v, int digits) {
   return s;
 }
 
+std::string FormatRoundTrip(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
 std::string FormatSeconds(double seconds) {
   if (seconds >= 1.0) return FormatDouble(seconds, 3) + " s";
   if (seconds >= 1e-3) return FormatDouble(seconds * 1e3, 3) + " ms";

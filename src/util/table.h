@@ -16,6 +16,10 @@ namespace ddsgraph {
 /// zeros ("3.14", "12", "0.002").
 std::string FormatDouble(double v, int digits = 4);
 
+/// Formats `v` with 17 significant digits (`%.17g`), which always parses
+/// back to the same double: equal text iff equal values.
+std::string FormatRoundTrip(double v);
+
 /// Formats seconds adaptively ("12.3 s", "45.1 ms", "870 us").
 std::string FormatSeconds(double seconds);
 

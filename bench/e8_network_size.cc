@@ -3,11 +3,9 @@
 // Every exact DDS solve reduces to a sequence of min-cut probes, so this
 // experiment times exactly that kernel: a parametric binary-search descent
 // of density guesses on the DDS network of each dataset (ratio 1, all
-// vertices as candidates), solved by each layout/engine combination:
+// vertices as candidates), solved by each engine/mode combination over the
+// network's CSR layout (DESIGN.md §12):
 //
-//   * layout: the pre-PR linked-list adjacency walk (`ListDinic` below, a
-//     verbatim copy of the old solver) vs the finalized CSR layout the
-//     shipping kernels iterate (DESIGN.md §12);
 //   * engine: Dinic vs push-relabel;
 //   * mode:  `fresh` cold-solves an identical network copy at every guess,
 //     `probe` replays the real parametric descent — build once, then
@@ -21,12 +19,9 @@
 // source capacity) and replayed identically by every column, and every
 // solve's flow value is cross-checked against the reference — the bench
 // fails loudly if any kernel disagrees, which is what bench_e8_smoke
-// guards in CI.
+// guards in CI. Each column reports the median over --reps repetitions.
 //
-// Results are dumped as JSON (--json_out, default BENCH_e8.json). The
-// headline number is `geomean_speedup`: the geometric mean over datasets
-// of probe-descent time, pre-PR linked-list Dinic baseline vs the best
-// CSR engine (the acceptance bar is >= 1.25x).
+// Results are dumped as JSON (--json_out, default BENCH_e8.json).
 
 #include <algorithm>
 #include <cmath>
@@ -34,7 +29,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -51,96 +45,6 @@
 namespace ddsgraph {
 namespace bench {
 namespace {
-
-// The pre-PR Dinic, kept verbatim as the committed baseline: linked-list
-// adjacency walk (Head/Next pointer chasing), O(n) level/iterator resets
-// per BFS phase, and an augment that scans each path twice (once for the
-// bottleneck, once to push). Recording the baseline in the same binary —
-// against the same FlowNetwork, whose list layout is still maintained —
-// keeps the BENCH_e8.json speedup an apples-to-apples kernel comparison.
-class ListDinic {
- public:
-  explicit ListDinic(FlowNetwork* network) : net_(network) {}
-
-  FlowCap Solve(uint32_t source, uint32_t sink) {
-    return AugmentToMax(source, sink);
-  }
-  FlowCap Resolve(uint32_t source, uint32_t sink) {
-    return AugmentToMax(source, sink);
-  }
-
- private:
-  bool BuildLevels(uint32_t source, uint32_t sink) {
-    level_.assign(net_->NumNodes(), -1);
-    queue_.clear();
-    queue_.push_back(source);
-    level_[source] = 0;
-    for (size_t qi = 0; qi < queue_.size(); ++qi) {
-      const uint32_t v = queue_[qi];
-      if (level_[sink] >= 0 && level_[v] >= level_[sink]) break;
-      for (uint32_t e = net_->Head(v); e != FlowNetwork::kNil;
-           e = net_->Next(e)) {
-        const uint32_t w = net_->To(e);
-        if (level_[w] < 0 && net_->Residual(e) > kFlowEps) {
-          level_[w] = level_[v] + 1;
-          queue_.push_back(w);
-        }
-      }
-    }
-    return level_[sink] >= 0;
-  }
-
-  FlowCap Augment(uint32_t source, uint32_t sink) {
-    path_.clear();
-    uint32_t v = source;
-    while (true) {
-      if (v == sink) {
-        FlowCap pushed = std::numeric_limits<FlowCap>::max();
-        for (uint32_t arc : path_) {
-          pushed = std::min(pushed, net_->Residual(arc));
-        }
-        for (uint32_t arc : path_) net_->Push(arc, pushed);
-        return pushed;
-      }
-      uint32_t& e = iter_[v];
-      while (e != FlowNetwork::kNil &&
-             (level_[net_->To(e)] != level_[v] + 1 ||
-              net_->Residual(e) <= kFlowEps)) {
-        e = net_->Next(e);
-      }
-      if (e == FlowNetwork::kNil) {
-        level_[v] = -1;
-        if (path_.empty()) return 0;
-        path_.pop_back();
-        v = path_.empty() ? source : net_->To(path_.back());
-        iter_[v] = net_->Next(iter_[v]);
-        continue;
-      }
-      path_.push_back(e);
-      v = net_->To(e);
-    }
-  }
-
-  FlowCap AugmentToMax(uint32_t source, uint32_t sink) {
-    FlowCap total = 0;
-    while (BuildLevels(source, sink)) {
-      iter_.assign(net_->NumNodes(), 0);
-      for (uint32_t v = 0; v < net_->NumNodes(); ++v) iter_[v] = net_->Head(v);
-      while (true) {
-        const FlowCap pushed = Augment(source, sink);
-        if (pushed <= 0) break;
-        total += pushed;
-      }
-    }
-    return total;
-  }
-
-  FlowNetwork* net_;
-  std::vector<int32_t> level_;
-  std::vector<uint32_t> iter_;
-  std::vector<uint32_t> queue_;
-  std::vector<uint32_t> path_;
-};
 
 FlowCap SourceOutflow(const DdsNetwork& network) {
   FlowCap total = 0;
@@ -179,10 +83,10 @@ std::vector<Dataset> KernelDatasets(bool quick) {
 
 int Main(int argc, const char* const* argv) {
   FlagSet flags("e8_network_size",
-                "E8: flow-kernel microbench (layout x engine x warm-start)");
+                "E8: flow-kernel microbench (engine x warm-start)");
   bool* quick = flags.Bool("quick", false, "drop the largest datasets");
   int64_t* reps = flags.Int64(
-      "reps", 3, "repetitions per column; the minimum is reported");
+      "reps", 5, "repetitions per column; the median is reported");
   int64_t* num_guesses = flags.Int64(
       "guesses", 12, "binary-search steps per parametric descent");
   std::string* json_out = flags.String(
@@ -190,17 +94,15 @@ int Main(int argc, const char* const* argv) {
       "write machine-readable results here (empty string disables)");
   flags.ParseOrDie(argc, argv);
 
-  PrintBanner("E8", "flow kernel: list vs CSR, dinic vs push-relabel");
-  Table t({"dataset", "net nodes", "net arcs", "fresh list", "fresh csr",
-           "fresh pr", "probe list", "probe dinic", "probe pr", "probe auto",
-           "speedup"});
+  PrintBanner("E8", "flow kernel: dinic vs push-relabel, fresh vs warm");
+  Table t({"dataset", "net nodes", "net arcs", "fresh dinic", "fresh pr",
+           "probe dinic", "probe pr", "probe auto"});
   std::ostringstream json;
   json << "{\n  \"experiment\": \"e8_flow_kernel\",\n  \"guesses\": "
        << *num_guesses << ",\n  \"reps\": " << *reps
-       << ",\n  \"hardware_concurrency\": "
+       << ",\n  \"statistic\": \"median\",\n  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency()
        << ",\n  \"datasets\": [";
-  std::vector<double> speedups;
   bool first_dataset = true;
   for (Dataset& d : KernelDatasets(*quick)) {
     std::vector<VertexId> all(d.graph.NumVertices());
@@ -253,7 +155,7 @@ int Main(int argc, const char* const* argv) {
     // copies and rebuilds stay outside the timed region, so the columns
     // compare nothing but kernel arc-scanning.
     const auto time_fresh = [&](auto&& solve, const char* column) {
-      double best = std::numeric_limits<double>::infinity();
+      std::vector<double> totals;
       for (int64_t r = 0; r < *reps; ++r) {
         double total = 0;
         for (size_t i = 0; i < steps.size(); ++i) {
@@ -263,16 +165,10 @@ int Main(int argc, const char* const* argv) {
           total += timer.Seconds();
           check(i, flow, column);
         }
-        best = std::min(best, total);
+        totals.push_back(total);
       }
-      return best;
+      return Quantile(std::move(totals), 0.5);
     };
-    const double fresh_list = time_fresh(
-        [](DdsNetwork* network) {
-          ListDinic solver(&network->net);
-          return solver.Solve(network->source, network->sink);
-        },
-        "fresh_list_dinic");
     const double fresh_csr = time_fresh(
         [](DdsNetwork* network) {
           Dinic solver(&network->net);
@@ -293,7 +189,7 @@ int Main(int argc, const char* const* argv) {
     // network's total source outflow so warm and cold engines are
     // cross-checked on the same quantity.
     const auto time_probe = [&](auto&& solve, const char* column) {
-      double best = std::numeric_limits<double>::infinity();
+      std::vector<double> totals;
       for (int64_t r = 0; r < *reps; ++r) {
         DdsNetwork network = build(steps.front().guess);
         double total = 0;
@@ -304,26 +200,12 @@ int Main(int argc, const char* const* argv) {
           total += timer.Seconds();
           check(i, SourceOutflow(network), column);
         }
-        best = std::min(best, total);
+        totals.push_back(total);
       }
-      return best;
+      return Quantile(std::move(totals), 0.5);
     };
     // Engine objects live across the descent (like ProbeRatio's), so the
     // warm solvers keep their per-node state; lambdas re-wrap per rep.
-    const double probe_list = [&] {
-      std::vector<ListDinic> storage;
-      return time_probe(
-          [&](DdsNetwork* network, bool fresh) {
-            if (fresh) {
-              storage.clear();
-              storage.emplace_back(&network->net);
-            }
-            return fresh
-                       ? storage[0].Solve(network->source, network->sink)
-                       : storage[0].Resolve(network->source, network->sink);
-          },
-          "probe_list_dinic");
-    }();
     const double probe_dinic = [&] {
       std::vector<Dinic> storage;
       return time_probe(
@@ -368,14 +250,10 @@ int Main(int argc, const char* const* argv) {
           "probe_csr_auto");
     }();
 
-    const double best_csr = std::min({probe_dinic, probe_pr, probe_auto});
-    const double speedup = probe_list / best_csr;
-    speedups.push_back(speedup);
     t.AddRow({d.name, std::to_string(net_nodes), std::to_string(net_arcs),
-              FormatSeconds(fresh_list), FormatSeconds(fresh_csr),
-              FormatSeconds(fresh_pr), FormatSeconds(probe_list),
+              FormatSeconds(fresh_csr), FormatSeconds(fresh_pr),
               FormatSeconds(probe_dinic), FormatSeconds(probe_pr),
-              FormatSeconds(probe_auto), FormatDouble(speedup, 2) + "x"});
+              FormatSeconds(probe_auto)});
     if (!first_dataset) json << ",";
     first_dataset = false;
     json << "\n    {\"dataset\": \"" << d.name << "\", \"family\": \""
@@ -384,22 +262,14 @@ int Main(int argc, const char* const* argv) {
          << ", \"network_nodes\": " << net_nodes
          << ", \"network_arcs\": " << net_arcs
          << ", \"guesses\": " << steps.size() << ",\n"
-         << "     \"fresh\": {\"list_dinic\": " << fresh_list
-         << ", \"csr_dinic\": " << fresh_csr
+         << "     \"fresh\": {\"csr_dinic\": " << fresh_csr
          << ", \"csr_push_relabel\": " << fresh_pr << "},\n"
-         << "     \"probe\": {\"list_dinic\": " << probe_list
-         << ", \"csr_dinic\": " << probe_dinic
+         << "     \"probe\": {\"csr_dinic\": " << probe_dinic
          << ", \"csr_push_relabel\": " << probe_pr
-         << ", \"csr_auto\": " << probe_auto << "},\n"
-         << "     \"speedup_probe\": " << FormatDouble(speedup, 4) << "}";
+         << ", \"csr_auto\": " << probe_auto << "}}";
   }
-  const double geomean = GeometricMean(speedups);
-  json << "\n  ],\n  \"baseline\": \"probe.list_dinic (pre-CSR linked-list "
-          "Dinic)\",\n  \"geomean_speedup\": "
-       << FormatDouble(geomean, 4) << "\n}\n";
+  json << "\n  ]\n}\n";
   t.PrintMarkdown(std::cout);
-  std::printf("geomean speedup (probe: list dinic -> best csr engine): "
-              "%.2fx\n", geomean);
   if (!json_out->empty()) {
     std::ofstream out(*json_out);
     if (!out) {

@@ -94,9 +94,9 @@ DdsNetwork BuildDdsNetwork(const G& g,
     out.b_sink_arcs.push_back(out.net.AddEdge(out.BNode(j), out.sink,
                                               cap_b_to_sink));
   }
-  // Compact the adjacency for the solvers while the arena is cache-hot;
-  // Reparameterize touches only capacities, so the CSR stays valid across
-  // the whole parametric guess sequence.
+  // Sort the arcs into CSR while the arena is cache-hot; Reparameterize
+  // touches only capacities, so the layout stays valid across the whole
+  // parametric guess sequence.
   out.net.Finalize();
   return out;
 }
@@ -110,21 +110,20 @@ template DdsNetwork BuildDdsNetwork<WeightedDigraph>(
     const WeightedDigraph&, const std::vector<VertexId>&,
     const std::vector<VertexId>&, double, double, DdsBuildScratch*);
 
-void ReparameterizeSinkArcs(FlowNetwork* net,
-                            const std::vector<uint32_t>& source_arcs,
-                            const std::vector<uint32_t>& a_sink_arcs,
-                            const std::vector<uint32_t>& b_sink_arcs,
-                            FlowCap cap_a_to_sink, FlowCap cap_b_to_sink) {
-  CHECK(net != nullptr);
+void DdsNetwork::Reparameterize(double new_density_guess) {
+  CHECK_GE(new_density_guess, 0.0);
+  CHECK_GT(sqrt_ratio, 0.0);
   CHECK_EQ(source_arcs.size(), a_sink_arcs.size());
+  density_guess = new_density_guess;
+  const FlowCap cap_a_to_sink = new_density_guess / (2.0 * sqrt_ratio);
+  const FlowCap cap_b_to_sink = new_density_guess * sqrt_ratio / 2.0;
   // A side: the A node's whole inflow arrives over its source arc, so its
   // surplus drains in O(1) by cancelling that much source-arc flow.
   for (size_t i = 0; i < a_sink_arcs.size(); ++i) {
-    const FlowCap excess = net->SetArcCapacity(a_sink_arcs[i],
-                                               cap_a_to_sink);
+    const FlowCap excess = net.SetArcCapacity(a_sink_arcs[i], cap_a_to_sink);
     if (excess > 0) {
-      DCHECK_GE(net->Residual(source_arcs[i] ^ 1) + kFlowEps, excess);
-      net->Push(source_arcs[i] ^ 1, excess);
+      DCHECK_GE(net.Residual(source_arcs[i] ^ 1) + kFlowEps, excess);
+      net.Push(source_arcs[i] ^ 1, excess);
     }
   }
   // B side: the B node's inflow arrives over A->B arcs; its surplus walks
@@ -132,34 +131,27 @@ void ReparameterizeSinkArcs(FlowNetwork* net,
   // adjacency) and then over each A node's source arc. Conservation at
   // the A nodes guarantees the source arcs always carry enough.
   for (uint32_t arc : b_sink_arcs) {
-    FlowCap excess = net->SetArcCapacity(arc, cap_b_to_sink);
+    FlowCap excess = net.SetArcCapacity(arc, cap_b_to_sink);
     if (excess <= 0) continue;
-    const uint32_t b_node = net->To(arc ^ 1);
-    for (uint32_t e = net->Head(b_node);
-         e != FlowNetwork::kNil && excess > kFlowEps; e = net->Next(e)) {
+    const uint32_t b_node = net.To(arc ^ 1);
+    const uint32_t end = net.EndOut(b_node);
+    for (uint32_t k = net.FirstOut(b_node); k < end && excess > kFlowEps;
+         ++k) {
+      const uint32_t e = net.OutArc(k);
       if ((e & 1) == 0) continue;  // forward sink arc, not a drain path
-      const FlowCap x = std::min(excess, net->Residual(e));
+      const FlowCap x = std::min(excess, net.Residual(e));
       if (x <= 0) continue;
-      const uint32_t a_node = net->To(e);
+      const uint32_t a_node = net.To(e);
       const size_t a_index = a_node - 2;  // DDS layout: ANode(i) = 2 + i
       DCHECK_LT(a_index, source_arcs.size());
-      net->Push(e, x);
-      DCHECK_GE(net->Residual(source_arcs[a_index] ^ 1) + kFlowEps, x);
-      net->Push(source_arcs[a_index] ^ 1, x);
+      net.Push(e, x);
+      DCHECK_GE(net.Residual(source_arcs[a_index] ^ 1) + kFlowEps, x);
+      net.Push(source_arcs[a_index] ^ 1, x);
       excess -= x;
     }
     CHECK_LE(excess, kFlowEps)
         << "drain failed: conservation cannot be restored";
   }
-}
-
-void DdsNetwork::Reparameterize(double new_density_guess) {
-  CHECK_GE(new_density_guess, 0.0);
-  CHECK_GT(sqrt_ratio, 0.0);
-  density_guess = new_density_guess;
-  ReparameterizeSinkArcs(&net, source_arcs, a_sink_arcs, b_sink_arcs,
-                         new_density_guess / (2.0 * sqrt_ratio),
-                         new_density_guess * sqrt_ratio / 2.0);
 }
 
 ExtractedPair ExtractPairFromCut(const DdsNetwork& network,

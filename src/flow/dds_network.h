@@ -116,7 +116,10 @@ struct DdsNetwork {
   /// the existing flow stays feasible and a warm-started Dinic::Resolve
   /// finds the new max flow incrementally; when it falls, excess flow on
   /// over-saturated sink arcs is drained back to the source first
-  /// (DESIGN.md §7).
+  /// (DESIGN.md §7). The drains exploit the layout instead of searching
+  /// residual paths: an A node's surplus returns over the reverse of its
+  /// unique source arc in O(1), a B node's walks back over its incoming
+  /// flow-carrying A->B arcs and then those A nodes' source arcs.
   void Reparameterize(double new_density_guess);
 };
 
@@ -157,23 +160,6 @@ DdsNetwork BuildDdsNetwork(const G& g,
   return BuildDdsNetwork(g, s_candidates, t_candidates, sqrt_ratio,
                          density_guess, &scratch);
 }
-
-/// Retargets the two guess-dependent sink-arc capacity families of a
-/// DDS-layout network (also the weighted variant) to new capacities,
-/// draining flow from over-saturated arcs back to the source so the
-/// network is left carrying a feasible (not necessarily maximum) flow.
-/// Exploits the layout for O(1)-per-arc drains instead of residual-path
-/// searches: an A node's surplus returns over the reverse of its unique
-/// source arc, a B node's surplus walks back over its incoming
-/// flow-carrying A->B arcs. Requires the DDS layout: A nodes are ids
-/// 2..2+|A|, `source_arcs[i]` is the arc source -> ANode(i), and B nodes
-/// have only their sink arc and reverse A->B arcs in their adjacency.
-/// Shared by DdsNetwork::Reparameterize and the weighted probe.
-void ReparameterizeSinkArcs(FlowNetwork* net,
-                            const std::vector<uint32_t>& source_arcs,
-                            const std::vector<uint32_t>& a_sink_arcs,
-                            const std::vector<uint32_t>& b_sink_arcs,
-                            FlowCap cap_a_to_sink, FlowCap cap_b_to_sink);
 
 /// Reads the (S, T) pair off the source side of a min cut of `network`.
 /// `source_side` must come from SourceSideOfMinCut on the solved network.

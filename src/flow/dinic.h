@@ -29,7 +29,7 @@ namespace ddsgraph {
 class Dinic {
  public:
   /// Wraps `network` (not owned); Solve mutates its residual capacities
-  /// and finalizes the network's CSR layout if it is stale.
+  /// and finalizes the network if it is not finalized yet.
   explicit Dinic(FlowNetwork* network);
 
   /// Computes the maximum s-t flow and returns its value, assuming the

@@ -1,5 +1,7 @@
 #include "flow/flow_network.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace ddsgraph {

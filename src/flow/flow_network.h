@@ -1,7 +1,6 @@
 #ifndef DDSGRAPH_FLOW_FLOW_NETWORK_H_
 #define DDSGRAPH_FLOW_FLOW_NETWORK_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -11,15 +10,14 @@
 /// Residual flow network shared by the max-flow solvers.
 ///
 /// Edges are stored in an arena as (forward, reverse) pairs at indices
-/// (2k, 2k+1); `e ^ 1` is the reverse of edge `e`. Adjacency is built as a
-/// linked list threaded through the arena (head_/next_) so AddEdge stays
-/// O(1), then compacted by Finalize() into a CSR permutation (`adj_`
-/// grouped by tail, bracketed by `first_` offsets) that the solvers scan
-/// contiguously instead of chasing `next_` (DESIGN.md §12). Arc ids — and
-/// with them the `e ^ 1` pairing and every stored capacity — are untouched
-/// by the compaction, so the parametric mutators below operate identically
-/// on either layout, and AddEdge after a Finalize simply marks the CSR
-/// stale for lazy re-finalization.
+/// (2k, 2k+1); `e ^ 1` is the reverse of edge `e`. AddEdge only appends to
+/// the arena; Finalize() then counting-sorts the arc ids by tail into a CSR
+/// permutation (`adj_` grouped by tail, bracketed by `first_` offsets) that
+/// the solvers scan contiguously (DESIGN.md §12). CSR is the only
+/// adjacency layout: the topology is frozen by Finalize(), and AddEdge
+/// afterwards is a CHECK failure. Arc ids — and with them the `e ^ 1`
+/// pairing and every stored capacity — are untouched by the sort, so the
+/// parametric mutators below work on arc ids a builder retained.
 ///
 /// Capacities are `double` because the DDS networks carry irrational
 /// capacities (multiples of sqrt(ratio)); all solvers treat residuals below
@@ -34,39 +32,36 @@ inline constexpr FlowCap kFlowEps = 1e-9;
 
 class FlowNetwork {
  public:
-  /// Creates an empty network; nodes can be added with AddNode.
+  /// Creates an empty network with no nodes.
   FlowNetwork() = default;
 
   /// Creates a network with `num_nodes` nodes and no edges.
-  explicit FlowNetwork(uint32_t num_nodes)
-      : head_(num_nodes, kNil) {}
+  explicit FlowNetwork(uint32_t num_nodes) : num_nodes_(num_nodes) {}
 
-  uint32_t NumNodes() const { return static_cast<uint32_t>(head_.size()); }
+  uint32_t NumNodes() const { return num_nodes_; }
   size_t NumArcs() const { return to_.size(); }  ///< includes reverse arcs
-
-  /// Adds node and returns its id.
-  uint32_t AddNode() {
-    head_.push_back(kNil);
-    finalized_ = false;
-    return NumNodes() - 1;
-  }
 
   /// Adds a directed edge u -> v with capacity `cap` (and its residual
   /// reverse arc with capacity `rev_cap`, default 0). Returns the arc index.
+  /// Only valid before Finalize().
   uint32_t AddEdge(uint32_t u, uint32_t v, FlowCap cap, FlowCap rev_cap = 0) {
+    CHECK(!finalized_) << "AddEdge after Finalize";
     DCHECK_LT(u, NumNodes());
     DCHECK_LT(v, NumNodes());
     DCHECK_GE(cap, 0);
     DCHECK_GE(rev_cap, 0);
-    const uint32_t e = PushArc(u, v, cap);
-    PushArc(v, u, rev_cap);
+    const uint32_t e = static_cast<uint32_t>(to_.size());
+    to_.push_back(v);
+    to_.push_back(u);
+    cap_.push_back(cap);
+    cap_.push_back(rev_cap);
+    initial_cap_.push_back(cap);
+    initial_cap_.push_back(rev_cap);
     return e;
   }
 
   // --- Arena accessors (hot-path, used by the solvers) ------------------
 
-  uint32_t Head(uint32_t node) const { return head_[node]; }
-  uint32_t Next(uint32_t arc) const { return next_[arc]; }
   uint32_t To(uint32_t arc) const { return to_[arc]; }
   FlowCap Residual(uint32_t arc) const { return cap_[arc]; }
   FlowCap InitialCap(uint32_t arc) const { return initial_cap_[arc]; }
@@ -74,31 +69,29 @@ class FlowNetwork {
   // --- CSR layout (DESIGN.md §12) ---------------------------------------
   //
   // After Finalize(), node v's out-arcs occupy the contiguous slot range
-  // [FirstOut(v), EndOut(v)) of the `adj_` permutation, in exactly the
-  // order a Head/Next walk yields — so list and CSR traversals are
-  // order-identical and the solvers' trajectories do not depend on which
-  // layout they iterate.
+  // [FirstOut(v), EndOut(v)) of the `adj_` permutation, by descending arc
+  // id — the last-added arc first.
 
-  /// Compacts the adjacency into CSR. Idempotent and cheap when already
-  /// finalized; O(nodes + arcs) otherwise. AddNode/AddEdge mark the layout
-  /// stale, and the solvers re-finalize lazily on their next solve.
+  /// Builds the CSR layout by a counting sort on arc tails (the tail of
+  /// `e` is To(e ^ 1)) and freezes the topology. Idempotent: a no-op when
+  /// already finalized; O(nodes + arcs) otherwise.
   void Finalize() {
     if (finalized_) return;
     const uint32_t n = NumNodes();
-    arc_base_ = static_cast<uint32_t>(to_.size());
-    first_.resize(n + 1);
-    adj_.resize(2 * static_cast<size_t>(arc_base_));
-    uint32_t pos = 0;
-    for (uint32_t v = 0; v < n; ++v) {
-      first_[v] = pos;
-      for (uint32_t e = head_[v]; e != kNil; e = next_[e]) {
-        adj_[pos] = to_[e];
-        adj_[arc_base_ + pos] = e;
-        ++pos;
-      }
+    const uint32_t num_arcs = static_cast<uint32_t>(to_.size());
+    arc_base_ = num_arcs;
+    first_.assign(static_cast<size_t>(n) + 1, 0);
+    adj_.resize(2 * static_cast<size_t>(num_arcs));
+    // first_[v] becomes the end of v's slot range; filling by ascending
+    // arc id from each end backwards leaves it at the range start, with
+    // the slots in descending arc id.
+    for (uint32_t e = 0; e < num_arcs; ++e) ++first_[to_[e ^ 1]];
+    for (uint32_t v = 1; v <= n; ++v) first_[v] += first_[v - 1];
+    for (uint32_t e = 0; e < num_arcs; ++e) {
+      const uint32_t slot = --first_[to_[e ^ 1]];
+      adj_[slot] = to_[e];
+      adj_[arc_base_ + slot] = e;
     }
-    first_[n] = pos;
-    DCHECK_EQ(pos, to_.size());
     finalized_ = true;
   }
 
@@ -115,18 +108,11 @@ class FlowNetwork {
   /// capacity array for arcs that pass.
   uint32_t OutArcTo(uint32_t slot) const { return adj_[slot]; }
 
-  /// Visits every out-arc of `node` in adjacency order, preferring the CSR
-  /// scan when it is available. The non-hot read paths (min-cut
-  /// extraction, cut capacity) use this so they work on both layouts.
+  /// Visits every out-arc of `node` in slot order; valid iff finalized().
   template <typename Fn>
   void ForEachOutArc(uint32_t node, Fn&& fn) const {
-    if (finalized_) {
-      for (uint32_t k = first_[node]; k < first_[node + 1]; ++k) {
-        fn(OutArc(k));
-      }
-    } else {
-      for (uint32_t e = head_[node]; e != kNil; e = next_[e]) fn(e);
-    }
+    DCHECK(finalized_);
+    for (uint32_t k = first_[node]; k < first_[node + 1]; ++k) fn(OutArc(k));
   }
 
   /// Pushes `amount` of flow along `arc` (decreasing its residual and
@@ -175,36 +161,17 @@ class FlowNetwork {
     return excess;
   }
 
-  /// Adds `delta` (possibly negative) to `arc`'s capacity, clamping the
-  /// resulting capacity at 0. Same draining contract as SetArcCapacity.
-  FlowCap AddArcCapacity(uint32_t arc, FlowCap delta) {
-    DCHECK_LT(arc, NumArcs());
-    return SetArcCapacity(arc, std::max<FlowCap>(0, initial_cap_[arc] + delta));
-  }
-
   static constexpr uint32_t kNil = static_cast<uint32_t>(-1);
 
  private:
-  uint32_t PushArc(uint32_t u, uint32_t v, FlowCap cap) {
-    const uint32_t e = static_cast<uint32_t>(to_.size());
-    to_.push_back(v);
-    cap_.push_back(cap);
-    initial_cap_.push_back(cap);
-    next_.push_back(head_[u]);
-    head_[u] = e;
-    finalized_ = false;
-    return e;
-  }
-
-  std::vector<uint32_t> head_;
-  std::vector<uint32_t> next_;
+  uint32_t num_nodes_ = 0;
   std::vector<uint32_t> to_;
   std::vector<FlowCap> cap_;
   std::vector<FlowCap> initial_cap_;
-  /// CSR compaction of the adjacency (valid iff finalized_), one buffer
-  /// bracketed by first_ offsets: slot-ordered arc heads in
-  /// [0, arc_base_) and the matching permutation of arc ids (grouped by
-  /// tail, list-walk order) in [arc_base_, 2*arc_base_).
+  /// CSR adjacency (valid iff finalized_), one buffer bracketed by first_
+  /// offsets: slot-ordered arc heads in [0, arc_base_) and the matching
+  /// permutation of arc ids (grouped by tail, descending id) in
+  /// [arc_base_, 2*arc_base_).
   std::vector<uint32_t> first_;
   std::vector<uint32_t> adj_;
   uint32_t arc_base_ = 0;

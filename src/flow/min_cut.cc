@@ -1,5 +1,6 @@
 #include "flow/min_cut.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -7,6 +8,7 @@
 namespace ddsgraph {
 
 std::vector<bool> SourceSideOfMinCut(const FlowNetwork& net, uint32_t source) {
+  CHECK(net.finalized());
   std::vector<bool> reached(net.NumNodes(), false);
   std::vector<uint32_t> queue{source};
   reached[source] = true;
@@ -25,6 +27,7 @@ std::vector<bool> SourceSideOfMinCut(const FlowNetwork& net, uint32_t source) {
 
 FlowCap CutCapacity(const FlowNetwork& net,
                     const std::vector<bool>& source_side) {
+  CHECK(net.finalized());
   CHECK_EQ(source_side.size(), net.NumNodes());
   FlowCap total = 0;
   for (uint32_t v = 0; v < net.NumNodes(); ++v) {

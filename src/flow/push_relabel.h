@@ -32,7 +32,7 @@ inline constexpr size_t kPushRelabelMinArcs = 32768;
 class PushRelabel {
  public:
   /// Wraps `network` (not owned); Solve mutates its residual capacities
-  /// and finalizes the network's CSR layout if it is stale.
+  /// and finalizes the network if it is not finalized yet.
   explicit PushRelabel(FlowNetwork* network);
 
   /// Computes the maximum s-t flow value, assuming the wrapped network

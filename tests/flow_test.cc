@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -167,41 +169,19 @@ TEST_P(RandomFlowTest, SolversAgreeAndDualityHolds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomFlowTest, ::testing::Range(0, 40));
 
-// AddEdge after a solve (which finalizes the CSR layout) must mark the
-// layout stale and re-finalize lazily on the next solve, so the new arc is
-// actually traversed.
-TEST(FlowNetworkTest, LazyRefinalizeAfterAddEdge) {
-  FlowNetwork net(4);
+// Finalize freezes the topology: adding an arc afterwards would leave it
+// outside the CSR the solvers scan, so it dies instead.
+TEST(FlowNetworkDeathTest, AddEdgeAfterFinalizeDies) {
+  FlowNetwork net(3);
   net.AddEdge(0, 1, 2.0);
-  net.AddEdge(1, 3, 2.0);
-  Dinic dinic(&net);
-  EXPECT_NEAR(dinic.Solve(0, 3), 2.0, 1e-12);
-  EXPECT_TRUE(net.finalized());
-
-  net.AddEdge(0, 2, 1.5);  // second path s -> 2 -> t
-  net.AddEdge(2, 3, 1.5);
-  EXPECT_FALSE(net.finalized());
-  net.ResetFlow();
-  EXPECT_NEAR(dinic.Solve(0, 3), 3.5, 1e-12);
-  EXPECT_TRUE(net.finalized());
+  net.Finalize();
+  EXPECT_DEATH(net.AddEdge(1, 2, 1.0), "AddEdge after Finalize");
 }
 
-TEST(FlowNetworkTest, AddNodeAfterFinalizeInvalidatesLayout) {
-  FlowNetwork net(2);
-  net.AddEdge(0, 1, 1.0);
-  net.Finalize();
-  EXPECT_TRUE(net.finalized());
-  const uint32_t v = net.AddNode();
-  EXPECT_FALSE(net.finalized());
-  net.AddEdge(1, v, 1.0);
-  net.Finalize();
-  EXPECT_EQ(net.EndOut(v) - net.FirstOut(v), 1u);  // v's reverse arc
-}
-
-// CSR slot order must replicate the Head/Next walk exactly — that identity
-// is what makes list and CSR traversals (and with them the solvers'
-// trajectories) indistinguishable.
-TEST(FlowNetworkTest, CsrOrderMatchesListOrder) {
+// Finalize's counting sort fills each node's slots with exactly the arcs
+// whose tail is that node (the tail of e is To(e ^ 1)), by descending arc
+// id, and mirrors each slot's arc head into OutArcTo.
+TEST(FlowNetworkTest, CsrSlotsHoldTailArcsByDescendingId) {
   Rng rng(7);
   FlowNetwork net(12);
   for (int e = 0; e < 60; ++e) {
@@ -210,15 +190,23 @@ TEST(FlowNetworkTest, CsrOrderMatchesListOrder) {
     if (u != v) net.AddEdge(u, v, 1.0 + static_cast<double>(e));
   }
   net.Finalize();
+  EXPECT_EQ(net.FirstOut(0), 0u);
+  EXPECT_EQ(net.EndOut(net.NumNodes() - 1), net.NumArcs());
   for (uint32_t v = 0; v < net.NumNodes(); ++v) {
-    uint32_t slot = net.FirstOut(v);
-    for (uint32_t e = net.Head(v); e != FlowNetwork::kNil;
-         e = net.Next(e), ++slot) {
-      ASSERT_LT(slot, net.EndOut(v));
-      EXPECT_EQ(net.OutArc(slot), e);
-      EXPECT_EQ(net.OutArcTo(slot), net.To(e));
+    std::vector<uint32_t> want;
+    for (uint32_t e = 0; e < net.NumArcs(); ++e) {
+      if (net.To(e ^ 1) == v) want.push_back(e);
     }
-    EXPECT_EQ(slot, net.EndOut(v));
+    std::reverse(want.begin(), want.end());
+    std::vector<uint32_t> got;
+    for (uint32_t slot = net.FirstOut(v); slot < net.EndOut(v); ++slot) {
+      got.push_back(net.OutArc(slot));
+      EXPECT_EQ(net.OutArcTo(slot), net.To(net.OutArc(slot)));
+    }
+    EXPECT_EQ(got, want) << "node " << v;
+    if (v + 1 < net.NumNodes()) {
+      EXPECT_EQ(net.EndOut(v), net.FirstOut(v + 1));
+    }
   }
 }
 
@@ -300,6 +288,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParametricSequenceTest,
 
 TEST(MinCutTest, CutCapacityOfTrivialCut) {
   FlowNetwork net = ClrsNetwork();
+  net.Finalize();  // cut readers need the frozen CSR layout
   std::vector<bool> only_source(net.NumNodes(), false);
   only_source[0] = true;
   EXPECT_NEAR(CutCapacity(net, only_source), 29.0, 1e-12);  // 16 + 13

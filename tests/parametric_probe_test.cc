@@ -34,19 +34,18 @@ void ExpectFlowConserved(const FlowNetwork& net, uint32_t source,
   for (uint32_t v = 0; v < net.NumNodes(); ++v) {
     if (v == source || v == sink) continue;
     FlowCap net_outflow = 0;
-    for (uint32_t e = net.Head(v); e != FlowNetwork::kNil; e = net.Next(e)) {
+    net.ForEachOutArc(v, [&](uint32_t e) {
       net_outflow += net.InitialCap(e) - net.Residual(e);
-    }
+    });
     EXPECT_NEAR(net_outflow, 0.0, 1e-6) << "node " << v;
   }
 }
 
 FlowCap TotalSourceOutflow(const FlowNetwork& net, uint32_t source) {
   FlowCap total = 0;
-  for (uint32_t e = net.Head(source); e != FlowNetwork::kNil;
-       e = net.Next(e)) {
+  net.ForEachOutArc(source, [&](uint32_t e) {
     total += net.InitialCap(e) - net.Residual(e);
-  }
+  });
   return total;
 }
 
@@ -114,30 +113,6 @@ TEST(SetArcCapacityTest, ShrinkingBelowFlowDrainsAndRouteFlowRebalances) {
   // flow is already maximum, so Resolve finds nothing to add.
   EXPECT_NEAR(dinic.Resolve(0, 3), 0.0, 1e-12);
   EXPECT_TRUE(VerifyMaxFlowMinCut(net, 0, 3, 1.5, 1e-9));
-}
-
-TEST(SetArcCapacityTest, AddArcCapacityDeltasAndClampsAtZero) {
-  FlowNetwork net(3);
-  net.AddEdge(0, 1, 4);
-  const uint32_t tail_arc = net.AddEdge(1, 2, 2);
-  Dinic dinic(&net);
-  EXPECT_NEAR(dinic.Solve(0, 2), 2.0, 1e-12);
-
-  EXPECT_EQ(net.AddArcCapacity(tail_arc, 1.5), 0.0);
-  EXPECT_NEAR(net.InitialCap(tail_arc), 3.5, 1e-12);
-  EXPECT_NEAR(net.Residual(tail_arc), 1.5, 1e-12);
-  ExpectFlowConserved(net, 0, 2);
-
-  // A negative delta below the carried flow drains like SetArcCapacity...
-  EXPECT_NEAR(net.AddArcCapacity(tail_arc, -2.5), 1.0, 1e-12);
-  EXPECT_NEAR(net.FlowOn(tail_arc), 1.0, 1e-12);
-  EXPECT_NEAR(RouteFlow(&net, 1, 0, 1.0), 1.0, 1e-12);
-  ExpectFlowConserved(net, 0, 2);
-
-  // ...and a delta past zero clamps the capacity at 0.
-  EXPECT_NEAR(net.AddArcCapacity(tail_arc, -99.0), 1.0, 1e-12);
-  EXPECT_NEAR(net.InitialCap(tail_arc), 0.0, 1e-12);
-  EXPECT_NEAR(net.FlowOn(tail_arc), 0.0, 1e-12);
 }
 
 TEST(RouteFlowTest, StopsAtAvailableResidual) {

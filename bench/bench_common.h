@@ -37,7 +37,8 @@ std::vector<Dataset> ExactDatasets(bool quick);
 /// (E3/E4/E5). `quick` drops the largest instances.
 std::vector<Dataset> ApproxDatasets(bool quick);
 
-/// The single largest graph (for the E5 scalability sweep).
+/// The single largest graph (for the E5 scalability sweep); `quick`
+/// substitutes a smaller one for the smoke run.
 Dataset ScalabilityDataset(bool quick);
 
 /// Keeps the first `fraction` (0 < fraction <= 1) of the edge list —

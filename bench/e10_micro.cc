@@ -1,8 +1,8 @@
 // E10 — microbenchmarks (google-benchmark): substrate throughput.
 //
 // Not a paper figure; engineering data backing the design choices in
-// DESIGN.md: Dinic vs push-relabel on DDS feasibility networks, the
-// parametric probe engine versus fresh-build-per-guess probing, [x,y]-core
+// DESIGN.md: Dinic on DDS feasibility networks, the parametric probe
+// engine versus fresh-build-per-guess probing, [x,y]-core
 // peeling throughput, the fixed-x decomposition sweep, and the full
 // CoreApprox pass.
 //
@@ -23,7 +23,6 @@
 #include "dds/peel_approx.h"
 #include "flow/dds_network.h"
 #include "flow/dinic.h"
-#include "flow/push_relabel.h"
 #include "graph/generators.h"
 
 namespace ddsgraph {
@@ -57,18 +56,6 @@ void BM_DinicOnDdsNetwork(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_DinicOnDdsNetwork)->Arg(8)->Arg(10)->Arg(12);
-
-void BM_PushRelabelOnDdsNetwork(benchmark::State& state) {
-  const Digraph g = BenchGraph(state.range(0));
-  DdsNetwork net = MakeNetwork(g);
-  for (auto _ : state) {
-    net.net.ResetFlow();
-    PushRelabel pr(&net.net);
-    benchmark::DoNotOptimize(pr.Solve(net.source, net.sink));
-  }
-  state.SetItemsProcessed(state.iterations() * g.NumEdges());
-}
-BENCHMARK(BM_PushRelabelOnDdsNetwork)->Arg(8)->Arg(10)->Arg(12);
 
 // The parametric probe engine (DESIGN.md §7) against fresh-build-per-guess
 // probing: one complete ProbeRatio binary search at ratio 1, either

@@ -39,6 +39,10 @@ namespace ddsgraph {
 namespace bench {
 namespace {
 
+// Every column is the median of kReps timed runs; one run moves with the
+// host by tens of percent.
+constexpr int kReps = 5;
+
 int Main(int argc, const char* const* argv) {
   FlagSet flags("e3_approx_efficiency",
                 "E3: approximation algorithms runtime comparison");
@@ -96,18 +100,18 @@ int Main(int argc, const char* const* argv) {
     tight_options.threads = static_cast<int>(*threads);
     DdsSolution peel;
     CoreApproxResult core;
-    const double t_peel =
-        TimeOnce([&] { peel = PeelApprox(d.graph, peel_options); });
-    const double t_tight =
-        TimeOnce([&] { (void)PeelApprox(d.graph, tight_options); });
-    const double t_batch =
-        TimeOnce([&] { (void)BatchPeelApprox(d.graph, batch_options); });
+    const double t_peel = TimeMedian(
+        kReps, [&] { peel = PeelApprox(d.graph, peel_options); });
+    const double t_tight = TimeMedian(
+        kReps, [&] { (void)PeelApprox(d.graph, tight_options); });
+    const double t_batch = TimeMedian(
+        kReps, [&] { (void)BatchPeelApprox(d.graph, batch_options); });
     const double t_core =
-        TimeOnce([&] { core = CoreApprox(d.graph, &pool); });
+        TimeMedian(kReps, [&] { core = CoreApprox(d.graph, &pool); });
     std::string exact_cell = "-";
     if (*with_exact) {
-      const double t_exact =
-          TimeOnce([&] { (void)SolveExactDds(d.graph, ExactOptions{}); });
+      const double t_exact = TimeMedian(
+          kReps, [&] { (void)SolveExactDds(d.graph, ExactOptions{}); });
       exact_cell = FormatSeconds(t_exact);
     }
     t.AddRow({d.name, std::to_string(d.graph.NumVertices()),
@@ -128,12 +132,13 @@ int Main(int argc, const char* const* argv) {
     DdsSolution wpeel;
     CoreApproxResult wcore;
     const double t_wpeel =
-        TimeOnce([&] { wpeel = PeelApprox(wg, peel_options); });
+        TimeMedian(kReps, [&] { wpeel = PeelApprox(wg, peel_options); });
     const double t_wbatch =
-        TimeOnce([&] { (void)BatchPeelApprox(wg, batch_options); });
-    const double t_wcore = TimeOnce([&] { wcore = CoreApprox(wg, &pool); });
+        TimeMedian(kReps, [&] { (void)BatchPeelApprox(wg, batch_options); });
+    const double t_wcore =
+        TimeMedian(kReps, [&] { wcore = CoreApprox(wg, &pool); });
     const double t_unit_peel =
-        TimeOnce([&] { (void)PeelApprox(unit, peel_options); });
+        TimeMedian(kReps, [&] { (void)PeelApprox(unit, peel_options); });
     const double overhead = t_unit_peel / std::max(t_peel, 1e-12);
     wt.AddRow({d.name, std::to_string(wg.TotalWeight()),
                FormatSeconds(t_wpeel), FormatSeconds(t_wbatch),

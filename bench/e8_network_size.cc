@@ -3,23 +3,20 @@
 // Every exact DDS solve reduces to a sequence of min-cut probes, so this
 // experiment times exactly that kernel: a parametric binary-search descent
 // of density guesses on the DDS network of each dataset (ratio 1, all
-// vertices as candidates), solved by each engine/mode combination over the
-// network's CSR layout (DESIGN.md §12):
+// vertices as candidates), solved by Dinic over the network's CSR layout
+// (DESIGN.md §12) in two modes:
 //
-//   * engine: Dinic vs push-relabel;
-//   * mode:  `fresh` cold-solves an identical network copy at every guess,
-//     `probe` replays the real parametric descent — build once, then
-//     Reparameterize + re-solve (warm-started where the engine supports
-//     it). The `auto` column is ProbeRatio's kernel rule: push-relabel for
-//     a fresh build of at least kPushRelabelMinArcs arcs, warm-started
-//     Dinic for every re-solve; the `push_relabel` column re-solves cold
-//     and is the evidence for keeping re-solves on Dinic.
+//   * `fresh` cold-solves an identical network copy at every guess;
+//   * `probe` replays the real parametric descent — build once, then
+//     Reparameterize + warm-started re-solve (DESIGN.md §7).
 //
 // The guess ladder is decided once (feasible iff max flow < W', the total
-// source capacity) and replayed identically by every column, and every
+// source capacity) and replayed identically by both columns, and every
 // solve's flow value is cross-checked against the reference — the bench
-// fails loudly if any kernel disagrees, which is what bench_e8_smoke
-// guards in CI. Each column reports the median over --reps repetitions.
+// fails loudly if a column disagrees, which is what bench_e8_smoke guards
+// in CI. Each rep times one fresh and one probe descent back to back, so
+// host drift hits both columns alike; each column reports the median and
+// the quartiles over --reps repetitions.
 //
 // Results are dumped as JSON (--json_out, default BENCH_e8.json).
 
@@ -36,7 +33,6 @@
 #include "bench_common.h"
 #include "flow/dds_network.h"
 #include "flow/dinic.h"
-#include "flow/push_relabel.h"
 #include "util/flags.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -50,6 +46,18 @@ FlowCap SourceOutflow(const DdsNetwork& network) {
   FlowCap total = 0;
   for (uint32_t arc : network.source_arcs) total += network.net.FlowOn(arc);
   return total;
+}
+
+// Median and quartiles of one column's per-rep totals.
+struct Quartiles {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+
+Quartiles SummarizeQuartiles(const std::vector<double>& totals) {
+  return {Quantile(totals, 0.25), Quantile(totals, 0.5),
+          Quantile(totals, 0.75)};
 }
 
 // One step of the replayed binary-search ladder.
@@ -83,10 +91,11 @@ std::vector<Dataset> KernelDatasets(bool quick) {
 
 int Main(int argc, const char* const* argv) {
   FlagSet flags("e8_network_size",
-                "E8: flow-kernel microbench (engine x warm-start)");
+                "E8: flow-kernel microbench (fresh vs warm Dinic)");
   bool* quick = flags.Bool("quick", false, "drop the largest datasets");
   int64_t* reps = flags.Int64(
-      "reps", 5, "repetitions per column; the median is reported");
+      "reps", 5,
+      "repetitions per column; the median and quartiles are reported");
   int64_t* num_guesses = flags.Int64(
       "guesses", 12, "binary-search steps per parametric descent");
   std::string* json_out = flags.String(
@@ -94,13 +103,14 @@ int Main(int argc, const char* const* argv) {
       "write machine-readable results here (empty string disables)");
   flags.ParseOrDie(argc, argv);
 
-  PrintBanner("E8", "flow kernel: dinic vs push-relabel, fresh vs warm");
-  Table t({"dataset", "net nodes", "net arcs", "fresh dinic", "fresh pr",
-           "probe dinic", "probe pr", "probe auto"});
+  PrintBanner("E8", "flow kernel: fresh vs warm-started Dinic");
+  Table t({"dataset", "net nodes", "net arcs", "fresh dinic", "probe dinic",
+           "fresh/probe"});
   std::ostringstream json;
   json << "{\n  \"experiment\": \"e8_flow_kernel\",\n  \"guesses\": "
        << *num_guesses << ",\n  \"reps\": " << *reps
-       << ",\n  \"statistic\": \"median\",\n  \"hardware_concurrency\": "
+       << ",\n  \"statistic\": \"median, q1, q3\","
+       << "\n  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency()
        << ",\n  \"datasets\": [";
   bool first_dataset = true;
@@ -152,108 +162,54 @@ int Main(int argc, const char* const* argv) {
     };
 
     // Mode 1 — fresh: cold solve on an identical network copy per guess;
-    // copies and rebuilds stay outside the timed region, so the columns
-    // compare nothing but kernel arc-scanning.
-    const auto time_fresh = [&](auto&& solve, const char* column) {
-      std::vector<double> totals;
-      for (int64_t r = 0; r < *reps; ++r) {
-        double total = 0;
-        for (size_t i = 0; i < steps.size(); ++i) {
-          DdsNetwork network = build(steps[i].guess);
-          WallTimer timer;
-          const FlowCap flow = solve(&network);
-          total += timer.Seconds();
-          check(i, flow, column);
-        }
-        totals.push_back(total);
+    // copies and rebuilds stay outside the timed region, so the column
+    // times nothing but kernel arc-scanning.
+    const auto time_fresh = [&] {
+      double total = 0;
+      for (size_t i = 0; i < steps.size(); ++i) {
+        DdsNetwork network = build(steps[i].guess);
+        WallTimer timer;
+        Dinic dinic(&network.net);
+        const FlowCap flow = dinic.Solve(network.source, network.sink);
+        total += timer.Seconds();
+        check(i, flow, "fresh_csr_dinic");
       }
-      return Quantile(std::move(totals), 0.5);
+      return total;
     };
-    const double fresh_csr = time_fresh(
-        [](DdsNetwork* network) {
-          Dinic solver(&network->net);
-          return solver.Solve(network->source, network->sink);
-        },
-        "fresh_csr_dinic");
-    const double fresh_pr = time_fresh(
-        [](DdsNetwork* network) {
-          PushRelabel solver(&network->net);
-          return solver.Solve(network->source, network->sink);
-        },
-        "fresh_csr_push_relabel");
-
     // Mode 2 — probe: the real parametric descent. Build once at the
-    // first guess, then Reparameterize + re-solve at each subsequent one;
-    // the Reparameterize is timed because it *is* part of the incremental
-    // kernel cost the engines pay. `solve(network, fresh)` returns the
-    // network's total source outflow so warm and cold engines are
-    // cross-checked on the same quantity.
-    const auto time_probe = [&](auto&& solve, const char* column) {
-      std::vector<double> totals;
-      for (int64_t r = 0; r < *reps; ++r) {
-        DdsNetwork network = build(steps.front().guess);
-        double total = 0;
-        for (size_t i = 0; i < steps.size(); ++i) {
-          WallTimer timer;
-          if (i > 0) network.Reparameterize(steps[i].guess);
-          solve(&network, /*fresh=*/i == 0);
-          total += timer.Seconds();
-          check(i, SourceOutflow(network), column);
+    // first guess, then Reparameterize + warm re-solve at each subsequent
+    // one; the Reparameterize is timed because it *is* part of the
+    // incremental kernel cost. The check reads the network's total source
+    // outflow, since Resolve returns only the flow it added.
+    const auto time_probe = [&] {
+      DdsNetwork network = build(steps.front().guess);
+      Dinic dinic(&network.net);
+      double total = 0;
+      for (size_t i = 0; i < steps.size(); ++i) {
+        WallTimer timer;
+        if (i == 0) {
+          dinic.Solve(network.source, network.sink);
+        } else {
+          network.Reparameterize(steps[i].guess);
+          dinic.Resolve(network.source, network.sink);
         }
-        totals.push_back(total);
+        total += timer.Seconds();
+        check(i, SourceOutflow(network), "probe_csr_dinic");
       }
-      return Quantile(std::move(totals), 0.5);
+      return total;
     };
-    // Engine objects live across the descent (like ProbeRatio's), so the
-    // warm solvers keep their per-node state; lambdas re-wrap per rep.
-    const double probe_dinic = [&] {
-      std::vector<Dinic> storage;
-      return time_probe(
-          [&](DdsNetwork* network, bool fresh) {
-            if (fresh) {
-              storage.clear();
-              storage.emplace_back(&network->net);
-            }
-            return fresh
-                       ? storage[0].Solve(network->source, network->sink)
-                       : storage[0].Resolve(network->source, network->sink);
-          },
-          "probe_csr_dinic");
-    }();
-    const double probe_pr = time_probe(
-        [](DdsNetwork* network, bool fresh) {
-          // Push-relabel has no warm start: every reuse resets the flow
-          // and re-solves cold on the reused topology.
-          if (!fresh) network->net.ResetFlow();
-          PushRelabel solver(&network->net);
-          return solver.Solve(network->source, network->sink);
-        },
-        "probe_csr_push_relabel");
-    const double probe_auto = [&] {
-      std::vector<Dinic> storage;
-      return time_probe(
-          [&](DdsNetwork* network, bool fresh) {
-            // ProbeRatio's rule: warm-started Dinic for the incremental
-            // re-solves; the fresh build goes to push-relabel iff the
-            // network clears the size cutoff.
-            if (fresh) {
-              storage.clear();
-              storage.emplace_back(&network->net);
-              if (network->net.NumArcs() >= kPushRelabelMinArcs) {
-                PushRelabel solver(&network->net);
-                return solver.Solve(network->source, network->sink);
-              }
-              return storage[0].Solve(network->source, network->sink);
-            }
-            return storage[0].Resolve(network->source, network->sink);
-          },
-          "probe_csr_auto");
-    }();
+    std::vector<double> fresh_totals;
+    std::vector<double> probe_totals;
+    for (int64_t r = 0; r < *reps; ++r) {
+      fresh_totals.push_back(time_fresh());
+      probe_totals.push_back(time_probe());
+    }
+    const Quartiles fresh = SummarizeQuartiles(fresh_totals);
+    const Quartiles probe = SummarizeQuartiles(probe_totals);
 
     t.AddRow({d.name, std::to_string(net_nodes), std::to_string(net_arcs),
-              FormatSeconds(fresh_csr), FormatSeconds(fresh_pr),
-              FormatSeconds(probe_dinic), FormatSeconds(probe_pr),
-              FormatSeconds(probe_auto)});
+              FormatSeconds(fresh.median), FormatSeconds(probe.median),
+              FormatDouble(fresh.median / probe.median, 2) + "x"});
     if (!first_dataset) json << ",";
     first_dataset = false;
     json << "\n    {\"dataset\": \"" << d.name << "\", \"family\": \""
@@ -262,11 +218,10 @@ int Main(int argc, const char* const* argv) {
          << ", \"network_nodes\": " << net_nodes
          << ", \"network_arcs\": " << net_arcs
          << ", \"guesses\": " << steps.size() << ",\n"
-         << "     \"fresh\": {\"csr_dinic\": " << fresh_csr
-         << ", \"csr_push_relabel\": " << fresh_pr << "},\n"
-         << "     \"probe\": {\"csr_dinic\": " << probe_dinic
-         << ", \"csr_push_relabel\": " << probe_pr
-         << ", \"csr_auto\": " << probe_auto << "}}";
+         << "     \"fresh\": {\"csr_dinic\": " << fresh.median
+         << ", \"q1\": " << fresh.q1 << ", \"q3\": " << fresh.q3 << "},\n"
+         << "     \"probe\": {\"csr_dinic\": " << probe.median
+         << ", \"q1\": " << probe.q1 << ", \"q3\": " << probe.q3 << "}}";
   }
   json << "\n  ]\n}\n";
   t.PrintMarkdown(std::cout);

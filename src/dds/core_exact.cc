@@ -14,7 +14,6 @@
 #include "flow/dds_network.h"
 #include "flow/dinic.h"
 #include "flow/min_cut.h"
-#include "flow/push_relabel.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -477,14 +476,12 @@ RatioProbeResult ProbeRatio(const G& g,
   // the core, so they always reuse; a guess falling below every level
   // built so far can outgrow the snapshot and forces a rebuild.
   // `network.net` lives at a stable address across rebuild-by-assignment,
-  // so both kernels wrap it once and the residual state carries over.
-  // Whichever kernel a min cut goes to (below), both leave the same
-  // minimal min cut (residual source side), so the witnesses — and with
-  // them the whole search trajectory — do not depend on the kernel
-  // (DESIGN.md §12).
+  // so Dinic wraps it once and the residual state carries over. Warm or
+  // cold, the residual source side is the unique minimal min cut, so the
+  // witnesses do not depend on how the max flow was reached (DESIGN.md
+  // §12).
   DdsNetwork network;
   Dinic dinic(&network.net);
-  PushRelabel push_relabel(&network.net);
   bool network_valid = false;
   std::vector<VertexId> built_s;  // candidate-set snapshot of `network`
   std::vector<VertexId> built_t;
@@ -585,28 +582,18 @@ RatioProbeResult ProbeRatio(const G& g,
       u = guess;
       continue;
     }
-    // Warm Dinic whenever the residual state survives; push-relabel has no
-    // warm start and pays off only on big fresh networks.
-    const bool use_push_relabel =
-        !reuse && network.net.NumArcs() >= kPushRelabelMinArcs;
-    if (use_push_relabel) {
-      push_relabel.Solve(network.source, network.sink);
-      result.flow.arcs_scanned += push_relabel.arcs_scanned();
-      result.flow.global_relabels += push_relabel.num_global_relabels();
-      ++result.flow.flow_solves_push_relabel;
-    } else if (reuse) {
+    if (reuse) {
       const int64_t augmentations_before = dinic.num_augmentations();
       const int64_t arcs_before = dinic.arcs_scanned();
       dinic.Resolve(network.source, network.sink);
       result.flow.warm_start_augmentations +=
           dinic.num_augmentations() - augmentations_before;
       result.flow.arcs_scanned += dinic.arcs_scanned() - arcs_before;
-      ++result.flow.flow_solves_dinic;
     } else {
       dinic.Solve(network.source, network.sink);
       result.flow.arcs_scanned += dinic.arcs_scanned();
-      ++result.flow.flow_solves_dinic;
     }
+    ++result.flow.flow_solves_dinic;
     const std::vector<bool> side =
         SourceSideOfMinCut(network.net, network.source);
     ExtractedPair extracted = ExtractPairFromCut(network, side);

@@ -154,10 +154,9 @@ struct ProbeWorkspace {
 /// incumbent / phi(interval), the weakest bound that still lets both
 /// adjacent subintervals be pruned. Of `options`, only the probe-engine
 /// knobs are read: `refine_cores_in_probe`, `record_network_sizes` and
-/// `incremental_probe`. The max-flow kernel is picked per min cut from
-/// the network: warm-started Dinic on reparameterized re-solves, and on
-/// fresh builds push-relabel from kPushRelabelMinArcs arcs up, Dinic
-/// below (DESIGN.md §12).
+/// `incremental_probe`. Every min cut is solved by Dinic: warm-started
+/// (`Resolve`) on a reparameterized network, from zero (`Solve`) on a
+/// fresh build (DESIGN.md §12).
 ///
 /// With `incremental_probe` set (the default), the probe runs on the
 /// parametric engine: a network is kept across guesses and retargeted to

@@ -22,29 +22,27 @@ struct FlowCounters {
   /// Augmenting paths pushed by warm-started re-solves — the incremental
   /// flow work the parametric probe engine does instead of full solves.
   int64_t warm_start_augmentations = 0;
-  /// Residual arcs examined by the max-flow kernels across all probes —
-  /// the engine-neutral measure of flow work (E8).
+  /// Residual arcs examined by Dinic across all probes — the measure of
+  /// flow work that warm and cold solves share (E8).
   int64_t arcs_scanned = 0;
-  int64_t global_relabels = 0;       ///< push-relabel exact-height rebuilds
-  /// Max-flow solves answered by each kernel — what the probe's size rule
-  /// (DESIGN.md §12) actually dispatched.
-  int64_t flow_solves_dinic = 0;
+  int64_t flow_solves_dinic = 0;  ///< min cuts solved (all by Dinic)
+  /// Always 0: every min cut is solved by Dinic (DESIGN.md §12). Kept so
+  /// the JSON schema and the benchmark's per-layer readers stay stable.
+  int64_t global_relabels = 0;
   int64_t flow_solves_push_relabel = 0;
   int64_t binary_search_iters = 0;   ///< total guesses across all ratios
   int64_t max_network_nodes = 0;     ///< largest flow network constructed
   /// Node count of each flow network in construction order (E8 traces).
   std::vector<int64_t> network_sizes;
 
-  /// Sums the counters, keeps the larger max_network_nodes and appends
+  /// Sums the live counters, keeps the larger max_network_nodes and appends
   /// `other.network_sizes`.
   FlowCounters& operator+=(const FlowCounters& other) {
     flow_networks_built += other.flow_networks_built;
     flow_networks_reused += other.flow_networks_reused;
     warm_start_augmentations += other.warm_start_augmentations;
     arcs_scanned += other.arcs_scanned;
-    global_relabels += other.global_relabels;
     flow_solves_dinic += other.flow_solves_dinic;
-    flow_solves_push_relabel += other.flow_solves_push_relabel;
     binary_search_iters += other.binary_search_iters;
     max_network_nodes = std::max(max_network_nodes, other.max_network_nodes);
     network_sizes.insert(network_sizes.end(), other.network_sizes.begin(),

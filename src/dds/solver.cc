@@ -13,9 +13,7 @@ std::string SolverStats::ToString() const {
      << " reused=" << flow_networks_reused
      << " warm_aug=" << warm_start_augmentations
      << " arcs=" << arcs_scanned
-     << " solves[dinic=" << flow_solves_dinic
-     << ",pr=" << flow_solves_push_relabel
-     << ",grel=" << global_relabels << "]"
+     << " dinic_solves=" << flow_solves_dinic
      << " iters=" << binary_search_iters
      << " max_net=" << max_network_nodes << " pruned=" << intervals_pruned;
   if (prior_engine_solves > 0) {

@@ -7,11 +7,15 @@
 #include "flow/flow_network.h"
 
 /// \file
-/// Dinic's max-flow algorithm (BFS level graph + DFS blocking flows).
+/// Dinic's max-flow algorithm (BFS level graph + DFS blocking flows), the
+/// one max-flow kernel behind every min cut of the exact DDS solvers
+/// (DESIGN.md §12).
 ///
 /// O(V^2 E) in general, O(E sqrt(V)) on unit-capacity networks — the DDS
-/// networks are dominated by unit arcs, so Dinic is the warm-start solver
-/// of choice for the parametric probe engine.
+/// networks are dominated by unit arcs. Fresh probe networks are solved
+/// from zero (Solve), reparameterized ones warm-started (Resolve). Either
+/// way the residual source side is the unique minimal min cut, so the
+/// witnesses do not depend on how the flow was reached.
 ///
 /// The solver iterates the network's finalized CSR layout (DESIGN.md §12)
 /// and epoch-stamps its per-node phase state (levelling a node also

@@ -7,20 +7,20 @@
 #include "util/logging.h"
 
 /// \file
-/// Residual flow network shared by the max-flow solvers.
+/// Residual flow network for the Dinic max-flow solver.
 ///
 /// Edges are stored in an arena as (forward, reverse) pairs at indices
 /// (2k, 2k+1); `e ^ 1` is the reverse of edge `e`. AddEdge only appends to
 /// the arena; Finalize() then counting-sorts the arc ids by tail into a CSR
 /// permutation (`adj_` grouped by tail, bracketed by `first_` offsets) that
-/// the solvers scan contiguously (DESIGN.md §12). CSR is the only
+/// the solver scans contiguously (DESIGN.md §12). CSR is the only
 /// adjacency layout: the topology is frozen by Finalize(), and AddEdge
 /// afterwards is a CHECK failure. Arc ids — and with them the `e ^ 1`
 /// pairing and every stored capacity — are untouched by the sort, so the
 /// parametric mutators below work on arc ids a builder retained.
 ///
 /// Capacities are `double` because the DDS networks carry irrational
-/// capacities (multiples of sqrt(ratio)); all solvers treat residuals below
+/// capacities (multiples of sqrt(ratio)); the solver treats residuals below
 /// `kFlowEps` as saturated.
 
 namespace ddsgraph {
@@ -60,7 +60,7 @@ class FlowNetwork {
     return e;
   }
 
-  // --- Arena accessors (hot-path, used by the solvers) ------------------
+  // --- Arena accessors (hot-path, used by the solver) -------------------
 
   uint32_t To(uint32_t arc) const { return to_[arc]; }
   FlowCap Residual(uint32_t arc) const { return cap_[arc]; }
@@ -103,9 +103,9 @@ class FlowNetwork {
   /// The arc id stored in adjacency slot `slot`; valid iff finalized().
   uint32_t OutArc(uint32_t slot) const { return adj_[arc_base_ + slot]; }
   /// To(OutArc(slot)), mirrored into the slot-ordered head half of the
-  /// buffer so scans read the arc heads contiguously — the solvers test
-  /// level/height on the head first and only touch the (scattered)
-  /// capacity array for arcs that pass.
+  /// buffer so scans read the arc heads contiguously — the solver tests
+  /// the head's level first and only touches the (scattered) capacity
+  /// array for arcs that pass.
   uint32_t OutArcTo(uint32_t slot) const { return adj_[slot]; }
 
   /// Visits every out-arc of `node` in slot order; valid iff finalized().

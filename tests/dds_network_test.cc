@@ -7,7 +7,6 @@
 #include "dds/density.h"
 #include "flow/dinic.h"
 #include "flow/min_cut.h"
-#include "flow/push_relabel.h"
 #include "graph/generators.h"
 
 namespace ddsgraph {
@@ -125,12 +124,12 @@ TEST(DdsNetworkTest, InfeasibleGuessYieldsTrivialCut) {
   EXPECT_LE(PairLinearizedDensity(g, dds_pair, 1.0), 10.0);
 }
 
-// The kernel-independence the exact probes rely on: over a binary-search
-// guess ladder, warm-reparameterized Dinic, cold Dinic and cold
-// push-relabel leave the same residual source side, so whichever kernel
-// the probe dispatches to, the extracted witness is the same.
+// The warm-start independence the exact probes rely on: over a
+// binary-search guess ladder, warm-reparameterized Dinic and cold Dinic
+// leave the same residual source side, so whether the probe reuses a
+// network or rebuilds it, the extracted witness is the same.
 template <typename G>
-void ExpectKernelsAgreeOnGuessLadder(const G& g) {
+void ExpectWarmAndColdAgreeOnGuessLadder(const G& g) {
   std::vector<VertexId> all(g.NumVertices());
   for (VertexId v = 0; v < g.NumVertices(); ++v) all[v] = v;
   for (double a : {0.5, 1.0, 2.0}) {
@@ -149,13 +148,9 @@ void ExpectKernelsAgreeOnGuessLadder(const G& g) {
       }
       DdsNetwork cold = BuildDdsNetwork(g, all, all, sqrt_a, guess);
       Dinic(&cold.net).Solve(cold.source, cold.sink);
-      DdsNetwork cold_pr = BuildDdsNetwork(g, all, all, sqrt_a, guess);
-      PushRelabel(&cold_pr.net).Solve(cold_pr.source, cold_pr.sink);
 
       const std::vector<bool> side = SourceSideOfMinCut(cold.net, cold.source);
       EXPECT_EQ(SourceSideOfMinCut(warm.net, warm.source), side)
-          << "a " << a << " step " << step;
-      EXPECT_EQ(SourceSideOfMinCut(cold_pr.net, cold_pr.source), side)
           << "a " << a << " step " << step;
 
       const ExtractedPair pair = ExtractPairFromCut(cold, side);
@@ -167,11 +162,11 @@ void ExpectKernelsAgreeOnGuessLadder(const G& g) {
   }
 }
 
-TEST(DdsNetworkTest, KernelsLeaveTheSameMinimalCutAcrossAGuessLadder) {
+TEST(DdsNetworkTest, WarmAndColdDinicLeaveTheSameMinimalCutAcrossAGuessLadder) {
   for (uint64_t seed : {4ull, 5ull}) {
-    ExpectKernelsAgreeOnGuessLadder(UniformDigraph(40, 240, seed));
-    ExpectKernelsAgreeOnGuessLadder(RmatDigraph(6, 300, seed));
-    ExpectKernelsAgreeOnGuessLadder(UniformWeightedDigraph(40, 240, seed));
+    ExpectWarmAndColdAgreeOnGuessLadder(UniformDigraph(40, 240, seed));
+    ExpectWarmAndColdAgreeOnGuessLadder(RmatDigraph(6, 300, seed));
+    ExpectWarmAndColdAgreeOnGuessLadder(UniformWeightedDigraph(40, 240, seed));
   }
 }
 

@@ -152,22 +152,6 @@ TEST_P(ExactOptionsTest, AllFlagCombinationsAgree) {
 INSTANTIATE_TEST_SUITE_P(FlagMasks, ExactOptionsTest,
                          ::testing::Range(0, 16));
 
-// The probe's kernel dispatch, visible through the per-kernel counters:
-// Dinic for warm incremental re-solves always, and — below the
-// kPushRelabelMinArcs fresh-build cutoff, which every network of a graph
-// this size is — Dinic for fresh builds too.
-TEST(KernelDispatchTest, StaysOnDinicBelowTheCutoff) {
-  const Digraph g = UniformDigraph(24, 130, 12);
-  for (bool incremental : {true, false}) {
-    ExactOptions options;
-    options.incremental_probe = incremental;
-    const DdsSolution sol = SolveExactDds(g, options);
-    EXPECT_GT(sol.stats.flow_solves_dinic, 0) << incremental;
-    EXPECT_EQ(sol.stats.flow_solves_push_relabel, 0) << incremental;
-    EXPECT_GT(sol.stats.arcs_scanned, 0) << incremental;
-  }
-}
-
 // Planted ground truth at a known ratio: the exact solvers must find the
 // planted block (or something at least as dense).
 TEST(CoreExactTest, RecoversPlantedBlock) {

@@ -183,10 +183,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReparameterizeTest, ::testing::Range(0, 10));
 // results versus fresh-build-per-guess mode across generator families.
 // --------------------------------------------------------------------
 
-// Returns the incremental run's result for callers that check more.
 template <typename G>
-RatioProbeResult ExpectProbesIdentical(const G& g, const Fraction& ratio,
-                                       bool refine_cores) {
+void ExpectProbesIdentical(const G& g, const Fraction& ratio,
+                           bool refine_cores) {
   const double upper = std::sqrt(static_cast<double>(g.TotalWeight()) *
                                  static_cast<double>(g.MaxEdgeWeight()));
   const double delta = ExactSearchDelta(g);
@@ -221,7 +220,6 @@ RatioProbeResult ExpectProbesIdentical(const G& g, const Fraction& ratio,
     EXPECT_LT(incremental.flow.flow_networks_built,
               fresh.flow.flow_networks_built);
   }
-  return incremental;
 }
 
 TEST(IncrementalProbeEquivalenceTest, UniformFamily) {
@@ -266,18 +264,12 @@ TEST(IncrementalProbeEquivalenceTest, PlantedFamily) {
   }
 }
 
-// Above kPushRelabelMinArcs the incremental probe answers its fresh build
-// with push-relabel and the reparameterized re-solves with warm Dinic, while
-// the fresh-build-per-guess run answers every guess with push-relabel; both
-// kernels leave the same minimal min cut, so the runs agree bit for bit. At
-// 2048 vertices a uniform graph's full network clears the cutoff from about
-// 10.5k edges; 12k leaves some margin (~36k arcs).
-TEST(IncrementalProbeEquivalenceTest, BothKernelsRunAboveTheCutoff) {
-  const Digraph g = UniformDigraph(2048, 12000, 3);
-  const RatioProbeResult incremental =
-      ExpectProbesIdentical(g, Fraction{1, 1}, /*refine_cores=*/false);
-  EXPECT_GT(incremental.flow.flow_solves_push_relabel, 0);
-  EXPECT_GT(incremental.flow.flow_solves_dinic, 0);
+// A large network (2048 vertices, 12k edges, ~36k arcs): the warm
+// re-solves of the incremental run and the cold solves of the
+// fresh-build-per-guess run still leave the same minimal min cuts.
+TEST(IncrementalProbeEquivalenceTest, LargeUniformNetwork) {
+  ExpectProbesIdentical(UniformDigraph(2048, 12000, 3), Fraction{1, 1},
+                        /*refine_cores=*/false);
 }
 
 // End-to-end: the full exact solver agrees bit-exactly between modes, and

@@ -53,14 +53,26 @@ TEST(StatsTest, SummarizeEmpty) {
 }
 
 // ---------------------------------------------------------------------
-// SolverStats kernel counters (arcs scanned, per-engine solve counts,
-// global relabels) and their surfacing through ToString / SolutionJson.
+// SolverStats flow counters (arcs scanned, Dinic solves, and the retired
+// push-relabel counters that stay 0) and their surfacing through
+// ToString / SolutionJson.
 // ---------------------------------------------------------------------
 
 TEST(SolverStatsTest, KernelCountersFilledByExactSolve) {
-  // A probe whose fresh network clears kPushRelabelMinArcs runs
-  // push-relabel there and warm Dinic on the re-solves, so both kernels'
-  // counters are exercised.
+  const Digraph g = UniformDigraph(20, 110, 21);
+  const DdsSolution sol = SolveExactDds(g, ExactOptions{});
+  EXPECT_GT(sol.stats.arcs_scanned, 0);
+  EXPECT_GT(sol.stats.flow_solves_dinic, 0);
+  // At most one min cut per binary-search guess (guesses whose refined
+  // core comes up empty are certified without a flow solve).
+  EXPECT_LE(sol.stats.flow_solves_dinic, sol.stats.binary_search_iters);
+  EXPECT_EQ(sol.stats.flow_solves_push_relabel, 0);
+  EXPECT_EQ(sol.stats.global_relabels, 0);
+}
+
+// Every min cut runs Dinic, also on a ~36k-arc network: the fresh build
+// is a cold Solve and the reparameterized re-solves warm Resolves.
+TEST(SolverStatsTest, DinicScansArcsWithoutGlobalRelabels) {
   const Digraph big = UniformDigraph(2048, 12000, 3);
   std::vector<VertexId> all(big.NumVertices());
   for (VertexId v = 0; v < big.NumVertices(); ++v) all[v] = v;
@@ -69,42 +81,24 @@ TEST(SolverStatsTest, KernelCountersFilledByExactSolve) {
       {Fraction{1, 1}, 0.0, std::sqrt(static_cast<double>(big.NumEdges())),
        ExactSearchDelta(big)},
       ExactOptions{});
-  EXPECT_GT(probe.flow.flow_solves_push_relabel, 0);
-  EXPECT_GT(probe.flow.flow_solves_dinic, 0);
   EXPECT_GT(probe.flow.arcs_scanned, 0);
-
-  const Digraph g = UniformDigraph(20, 110, 21);
-  const DdsSolution sol = SolveExactDds(g, ExactOptions{});
-  EXPECT_GT(sol.stats.arcs_scanned, 0);
-  EXPECT_GT(sol.stats.flow_solves_dinic, 0);
-  // At most one kernel solve per binary-search guess (guesses whose
-  // refined core comes up empty are certified without a flow solve).
-  EXPECT_LE(sol.stats.flow_solves_dinic + sol.stats.flow_solves_push_relabel,
-            sol.stats.binary_search_iters);
-  EXPECT_GT(sol.stats.flow_solves_dinic + sol.stats.flow_solves_push_relabel,
-            0);
-  EXPECT_GE(sol.stats.global_relabels, 0);
-}
-
-// Below the push-relabel cutoff every solve runs Dinic, which scans arcs
-// but never runs a global relabel (a push-relabel-only counter).
-TEST(SolverStatsTest, DinicScansArcsWithoutGlobalRelabels) {
-  const Digraph g = UniformDigraph(16, 70, 23);
-  const DdsSolution sol = SolveExactDds(g, ExactOptions{});
-  EXPECT_GT(sol.stats.arcs_scanned, 0);
-  EXPECT_EQ(sol.stats.flow_solves_push_relabel, 0);
-  EXPECT_EQ(sol.stats.global_relabels, 0);
+  EXPECT_GT(probe.flow.flow_networks_reused, 0);
+  EXPECT_GT(probe.flow.warm_start_augmentations, 0);
+  EXPECT_EQ(probe.flow.flow_solves_dinic,
+            probe.flow.flow_networks_built + probe.flow.flow_networks_reused);
+  EXPECT_EQ(probe.flow.flow_solves_push_relabel, 0);
+  EXPECT_EQ(probe.flow.global_relabels, 0);
 }
 
 TEST(SolverStatsTest, ToStringCarriesKernelCounters) {
   SolverStats stats;
   stats.arcs_scanned = 12345;
   stats.flow_solves_dinic = 7;
-  stats.flow_solves_push_relabel = 3;
-  stats.global_relabels = 2;
   const std::string s = stats.ToString();
   EXPECT_NE(s.find("arcs=12345"), std::string::npos) << s;
-  EXPECT_NE(s.find("solves[dinic=7,pr=3,grel=2]"), std::string::npos) << s;
+  EXPECT_NE(s.find("dinic_solves=7"), std::string::npos) << s;
+  EXPECT_EQ(s.find("pr="), std::string::npos) << s;
+  EXPECT_EQ(s.find("grel="), std::string::npos) << s;
 }
 
 // The serve-path latency split (queue_ms / solve_ms) is zero outside the
@@ -142,9 +136,13 @@ TEST(SolverStatsTest, SolutionJsonCarriesKernelCounters) {
         "\"flow_solves_dinic\": ", "\"flow_solves_push_relabel\": "}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
-  // The emitted numbers are the stats' values, not placeholders.
+  // The emitted numbers are the stats' values, not placeholders; the
+  // push-relabel keys stay in the schema and read 0.
   EXPECT_NE(json.find("\"arcs_scanned\": " +
                       std::to_string(sol.stats.arcs_scanned)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"global_relabels\": 0,"), std::string::npos);
+  EXPECT_NE(json.find("\"flow_solves_push_relabel\": 0,"),
             std::string::npos);
 }
 

@@ -1,6 +1,8 @@
 #include "bench_common.h"
 
 #include <cstdio>
+#include <fstream>
+#include <thread>
 
 #include "graph/digraph_builder.h"
 #include "util/stats.h"
@@ -72,16 +74,90 @@ Digraph EdgeFraction(const Digraph& g, double fraction) {
   return std::move(builder).Build();
 }
 
-double TimeOnce(const std::function<void()>& fn) {
-  WallTimer timer;
-  fn();
-  return timer.Seconds();
+Timing SummarizeTimes(const std::vector<double>& seconds) {
+  return {Quantile(seconds, 0.5), Quantile(seconds, 0.25),
+          Quantile(seconds, 0.75)};
 }
 
-double TimeMedian(int reps, const std::function<void()>& fn) {
+Timing TimeMedian(int reps, const std::function<void()>& fn) {
   std::vector<double> seconds;
-  for (int rep = 0; rep < reps; ++rep) seconds.push_back(TimeOnce(fn));
-  return Quantile(std::move(seconds), 0.5);
+  for (int rep = 0; rep < reps; ++rep) {
+    WallTimer timer;
+    fn();
+    seconds.push_back(timer.Seconds());
+  }
+  return SummarizeTimes(seconds);
+}
+
+std::string* JsonOutFlag(FlagSet* flags, const std::string& default_path) {
+  return flags->String(
+      "json_out", default_path,
+      "write machine-readable results here (empty string disables)");
+}
+
+namespace {
+
+// The first "model name" of /proc/cpuinfo; "unknown" where there is none.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(": ");
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+JsonWriter BenchJson(const std::string& experiment, int reps) {
+  JsonWriter json(/*line_depth=*/2);
+  json.BeginObject()
+      .Key("experiment").String(experiment)
+      .Key("reps").Int(reps)
+      .Key("provenance").BeginObject()
+      .Key("hardware_concurrency").Int(std::thread::hardware_concurrency())
+      .Key("cpu_model").String(CpuModel())
+      .Key("compiler").String(__VERSION__)
+      .Key("build_type").String(DDSGRAPH_BUILD_TYPE)
+      .Key("git_revision").String(DDSGRAPH_GIT_REVISION)
+      .EndObject();
+  return json;
+}
+
+void AddTiming(JsonWriter* json, std::string_view key, const Timing& t) {
+  json->Key(key).BeginObject()
+      .Key("median").Double(t.median, 6)
+      .Key("q1").Double(t.q1, 6)
+      .Key("q3").Double(t.q3, 6)
+      .EndObject();
+}
+
+void AddSolverJson(JsonWriter* json, std::string_view name,
+                   const DdsSolution& solution, const Timing& time) {
+  json->Key(name).BeginObject();
+  AddTiming(json, "seconds", time);
+  json->Key("density").Double(solution.density, 12)
+      .Key("networks_built").Int(solution.stats.flow_networks_built)
+      .Key("networks_reused").Int(solution.stats.flow_networks_reused)
+      .Key("warm_start_augmentations")
+      .Int(solution.stats.warm_start_augmentations)
+      .Key("binary_search_iters").Int(solution.stats.binary_search_iters)
+      .Key("ratios_probed").Int(solution.stats.ratios_probed)
+      .EndObject();
+}
+
+bool WriteJsonFile(const std::string& path, const std::string& json) {
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  out << json << "\n";
+  if (!out.flush()) {
+    std::fprintf(stderr, "ERROR: cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 void PrintBanner(const std::string& experiment_id, const std::string& title) {

@@ -3,10 +3,14 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "dds/result.h"
 #include "graph/digraph.h"
 #include "graph/generators.h"
+#include "util/flags.h"
+#include "util/json_writer.h"
 
 /// \file
 /// Shared harness for the experiment binaries (EXPERIMENTS.md).
@@ -45,13 +49,48 @@ Dataset ScalabilityDataset(bool quick);
 /// the standard scalability protocol of the paper (prefix subsampling).
 Digraph EdgeFraction(const Digraph& g, double fraction);
 
-/// Wall-times `fn` once and returns seconds (the solvers are long-running
-/// and deterministic; single-shot timing is the right protocol).
-double TimeOnce(const std::function<void()>& fn);
+/// Repetitions behind every timed column, unless a bench's --reps sets
+/// them.
+inline constexpr int kReps = 5;
 
-/// Runs `fn` `reps` times and returns the median wall time in seconds,
-/// for solves short enough (a few ms) that one timing is mostly noise.
-double TimeMedian(int reps, const std::function<void()>& fn);
+/// Median and quartiles of one timed column, in seconds.
+struct Timing {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+};
+
+/// The Timing of a column's per-rep wall times.
+Timing SummarizeTimes(const std::vector<double>& seconds);
+
+/// Runs `fn` `reps` times and returns the Timing of its wall times — the
+/// one timing rule of every E-bench.
+Timing TimeMedian(int reps, const std::function<void()>& fn);
+
+/// Registers --json_out: where the result file goes (default
+/// `default_path`; an empty string disables it).
+std::string* JsonOutFlag(FlagSet* flags, const std::string& default_path);
+
+/// Starts a bench result file: the top-level object with "experiment",
+/// the "reps" behind every timing, and the "provenance" block
+/// (hardware_concurrency, cpu_model, compiler, build_type and the
+/// git_revision captured at configure time). Each member of the top
+/// object and of its arrays (one dataset row each) gets its own line.
+JsonWriter BenchJson(const std::string& experiment, int reps);
+
+/// Writes `"key": {"median": .., "q1": .., "q3": ..}` (seconds).
+void AddTiming(JsonWriter* json, std::string_view key, const Timing& t);
+
+/// Writes `"name": {"seconds": <AddTiming>, "density": ..}` plus the
+/// exact engine's counters (networks built and reused, warm-start
+/// augmentations, binary-search iterations, ratios probed).
+void AddSolverJson(JsonWriter* json, std::string_view name,
+                   const DdsSolution& solution, const Timing& time);
+
+/// Writes `json` plus a newline to `path` and prints "wrote <path>"; an
+/// empty path writes nothing. Returns false, after printing an error,
+/// when the file cannot be written.
+bool WriteJsonFile(const std::string& path, const std::string& json);
 
 /// Prints the experiment banner (id, title, substitution note).
 void PrintBanner(const std::string& experiment_id, const std::string& title);

@@ -19,10 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
-#include <thread>
 
 #include "bench_common.h"
 #include "core/core_approx.h"
@@ -33,19 +30,6 @@
 namespace ddsgraph {
 namespace bench {
 namespace {
-
-void AppendSolverJson(const char* name, const DdsSolution& solution,
-                      double seconds, std::ostringstream* out) {
-  *out << "    \"" << name << "\": {\"seconds\": " << seconds
-       << ", \"density\": " << FormatDouble(solution.density, 12)
-       << ", \"networks_built\": " << solution.stats.flow_networks_built
-       << ", \"networks_reused\": " << solution.stats.flow_networks_reused
-       << ", \"warm_start_augmentations\": "
-       << solution.stats.warm_start_augmentations
-       << ", \"binary_search_iters\": "
-       << solution.stats.binary_search_iters
-       << ", \"ratios_probed\": " << solution.stats.ratios_probed << "}";
-}
 
 std::string RangeOf(const std::vector<VertexId>& side) {
   if (side.empty()) return "-";
@@ -58,9 +42,7 @@ std::string RangeOf(const std::vector<VertexId>& side) {
 int Main(int argc, const char* const* argv) {
   FlagSet flags("e11_weighted", "E11: weighted DDS extension");
   bool* quick = flags.Bool("quick", false, "smaller graphs");
-  std::string* json_out = flags.String(
-      "json_out", "BENCH_e11.json",
-      "write machine-readable results here (empty string disables)");
+  std::string* json_out = JsonOutFlag(&flags, "BENCH_e11.json");
   flags.ParseOrDie(argc, argv);
   const uint32_t n = *quick ? 2000 : 8000;
   const int64_t noise = *quick ? 8000 : 40000;
@@ -88,18 +70,16 @@ int Main(int argc, const char* const* argv) {
   for (const WeightedEdge& e : edges) plain_edges.push_back({e.from, e.to});
   const Digraph g = Digraph::FromEdges(n, std::move(plain_edges));
 
-  // Every solve here takes ~5-15 ms, where one timing is mostly noise:
-  // each time is the median of kReps runs.
-  constexpr int kReps = 5;
   Table t({"solver", "objective", "rho", "|S|", "|T|", "S-range", "time"});
   DdsSolution plain;
   DdsSolution weighted;
   DdsSolution weighted_fresh;
-  double t_weighted = 0;
-  double t_weighted_fresh = 0;
+  Timing t_weighted;
+  Timing t_weighted_fresh;
   {
-    const double secs = TimeMedian(
-        kReps, [&] { plain = SolveExactDds(g, ExactOptions{}); });
+    const double secs =
+        TimeMedian(kReps, [&] { plain = SolveExactDds(g, ExactOptions{}); })
+            .median;
     t.AddRow({"core-exact (unweighted)", "|E|/sqrt(|S||T|)",
               FormatDouble(plain.density, 3),
               std::to_string(plain.pair.s.size()),
@@ -107,8 +87,6 @@ int Main(int argc, const char* const* argv) {
               FormatSeconds(secs)});
   }
   {
-    // The two probe modes follow bit-identical trajectories; single-shot
-    // timing once reported a spurious <1.0 "speedup" between them.
     ExactOptions fresh_options;
     fresh_options.incremental_probe = false;
     t_weighted = TimeMedian(
@@ -119,16 +97,16 @@ int Main(int argc, const char* const* argv) {
               FormatDouble(weighted.density, 3),
               std::to_string(weighted.pair.s.size()),
               std::to_string(weighted.pair.t.size()),
-              RangeOf(weighted.pair.s), FormatSeconds(t_weighted)});
+              RangeOf(weighted.pair.s), FormatSeconds(t_weighted.median)});
     t.AddRow({"weighted core-exact (fresh probes)", "w(E)/sqrt(|S||T|)",
               FormatDouble(weighted_fresh.density, 3),
               std::to_string(weighted_fresh.pair.s.size()),
               std::to_string(weighted_fresh.pair.t.size()),
               RangeOf(weighted_fresh.pair.s),
-              FormatSeconds(t_weighted_fresh)});
+              FormatSeconds(t_weighted_fresh.median)});
   }
   CoreApproxResult approx;
-  double t_approx = 0;
+  Timing t_approx;
   {
     t_approx = TimeMedian(kReps, [&] { approx = CoreApprox(wg); });
     std::string core_cell = "[";
@@ -140,7 +118,7 @@ int Main(int argc, const char* const* argv) {
               FormatDouble(approx.density, 3),
               std::to_string(approx.core.s.size()),
               std::to_string(approx.core.t.size()), core_cell,
-              FormatSeconds(t_approx)});
+              FormatSeconds(t_approx.median)});
   }
   t.PrintMarkdown(std::cout);
 
@@ -158,36 +136,24 @@ int Main(int argc, const char* const* argv) {
     return 1;
   }
 
-  if (!json_out->empty()) {
-    std::ostringstream json;
-    json << "{\n  \"experiment\": \"e11_weighted\",\n  \"n\": " << n
-         << ",\n  \"noise_edges\": " << noise
-         << ",\n  \"hardware_concurrency\": "
-         << std::thread::hardware_concurrency()
-         << ",\n  \"note\": \"the hand-mirrored WeightedCoreExact engine "
-            "was deleted when the exact engine went weight-generic; "
-            "weighted_core_exact_fresh (rebuild-per-guess) is the "
-            "pre-parametric cost shape, weighted_core_exact the unified "
-            "engine with parametric probes; every seconds value is the "
-            "median of "
-         << kReps << " runs\",\n";
-    AppendSolverJson("weighted_core_exact", weighted, t_weighted, &json);
-    json << ",\n";
-    AppendSolverJson("weighted_core_exact_fresh", weighted_fresh,
-                     t_weighted_fresh, &json);
-    json << ",\n    \"weighted_core_approx\": {\"seconds\": " << t_approx
-         << ", \"density\": " << FormatDouble(approx.density, 12) << "}"
-         << ",\n    \"parametric_speedup\": "
-         << FormatDouble(t_weighted_fresh / std::max(t_weighted, 1e-12), 3)
-         << "\n}\n";
-    std::ofstream out(*json_out);
-    if (!out) {
-      std::fprintf(stderr, "ERROR: cannot write %s\n", json_out->c_str());
-      return 1;
-    }
-    out << json.str();
-    std::cout << "wrote " << *json_out << "\n";
-  }
+  JsonWriter json = BenchJson("e11_weighted", kReps);
+  json.Key("n").Int(n)
+      .Key("noise_edges").Int(noise)
+      .Key("note").String(
+          "weighted_core_exact_fresh rebuilds the network at every guess; "
+          "weighted_core_exact reparameterizes it (parametric probes)");
+  AddSolverJson(&json, "weighted_core_exact", weighted, t_weighted);
+  AddSolverJson(&json, "weighted_core_exact_fresh", weighted_fresh,
+                t_weighted_fresh);
+  json.Key("weighted_core_approx").BeginObject();
+  AddTiming(&json, "seconds", t_approx);
+  json.Key("density").Double(approx.density, 12)
+      .EndObject()
+      .Key("parametric_speedup")
+      .Double(t_weighted_fresh.median / std::max(t_weighted.median, 1e-12),
+              3)
+      .EndObject();
+  if (!WriteJsonFile(*json_out, json.str())) return 1;
   return std::abs(d_plain - d_weighted) < 1e-5 ? 0 : 1;
 }
 

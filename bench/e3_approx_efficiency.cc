@@ -20,10 +20,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
-#include <thread>
 
 #include "bench_common.h"
 #include "core/core_approx.h"
@@ -38,10 +35,6 @@
 namespace ddsgraph {
 namespace bench {
 namespace {
-
-// Every column is the median of kReps timed runs; one run moves with the
-// host by tens of percent.
-constexpr int kReps = 5;
 
 int Main(int argc, const char* const* argv) {
   FlagSet flags("e3_approx_efficiency",
@@ -59,9 +52,7 @@ int Main(int argc, const char* const* argv) {
       "worker count for the parallel solve layer (peel ladder fan-out, "
       "batch-scan chunking, core-search rounds); results are identical at "
       "any count, only the wall clock changes");
-  std::string* json_out = flags.String(
-      "json_out", "BENCH_e3.json",
-      "write machine-readable results here (empty string disables)");
+  std::string* json_out = JsonOutFlag(&flags, "BENCH_e3.json");
   flags.ParseOrDie(argc, argv);
 
   PrintBanner("E3", "approximation algorithm efficiency");
@@ -76,17 +67,15 @@ int Main(int argc, const char* const* argv) {
   // The weighted half: same topologies, weighted objective.
   Table wt({"dataset", "W", "peel(w)", "batch-peel(w)", "core-approx(w)",
             "rho_w(core)", "rho_w(peel)", "unit-peel overhead"});
-  std::ostringstream json;
-  json << "{\n  \"experiment\": \"e3_approx_efficiency\",\n"
-       << "  \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency() << ",\n"
-       << "  \"note\": \"weighted = geometric AttachRandomWeights; "
-          "unit_peel_overhead = all-weights-1 weighted peel time / "
-          "unweighted peel time (same trajectory, bucket queue vs bucket "
-          "queue: the hybrid peel queue picks the bucket backend for unit "
-          "lifts, so this is pure weight-plumbing overhead)\",\n"
-          "  \"datasets\": [";
-  bool first_json_row = true;
+  JsonWriter json = BenchJson("e3_approx_efficiency", kReps);
+  json.Key("note")
+      .String(
+          "weighted = geometric AttachRandomWeights; unit_peel_overhead = "
+          "all-weights-1 weighted peel time / unweighted peel time (same "
+          "trajectory, bucket queue vs bucket queue: the hybrid peel queue "
+          "picks the bucket backend for unit lifts, so this is pure "
+          "weight-plumbing overhead)")
+      .Key("datasets").BeginArray();
 
   ThreadPool pool(static_cast<int>(*threads));
   BatchPeelOptions batch_options;
@@ -100,26 +89,27 @@ int Main(int argc, const char* const* argv) {
     tight_options.threads = static_cast<int>(*threads);
     DdsSolution peel;
     CoreApproxResult core;
-    const double t_peel = TimeMedian(
+    const Timing t_peel = TimeMedian(
         kReps, [&] { peel = PeelApprox(d.graph, peel_options); });
-    const double t_tight = TimeMedian(
+    const Timing t_tight = TimeMedian(
         kReps, [&] { (void)PeelApprox(d.graph, tight_options); });
-    const double t_batch = TimeMedian(
+    const Timing t_batch = TimeMedian(
         kReps, [&] { (void)BatchPeelApprox(d.graph, batch_options); });
-    const double t_core =
+    const Timing t_core =
         TimeMedian(kReps, [&] { core = CoreApprox(d.graph, &pool); });
     std::string exact_cell = "-";
     if (*with_exact) {
-      const double t_exact = TimeMedian(
+      const Timing t_exact = TimeMedian(
           kReps, [&] { (void)SolveExactDds(d.graph, ExactOptions{}); });
-      exact_cell = FormatSeconds(t_exact);
+      exact_cell = FormatSeconds(t_exact.median);
     }
     t.AddRow({d.name, std::to_string(d.graph.NumVertices()),
-              std::to_string(d.graph.NumEdges()), FormatSeconds(t_peel),
-              FormatSeconds(t_tight), FormatSeconds(t_batch),
-              FormatSeconds(t_core),
-              FormatDouble(t_tight / t_core, 1) + "x", exact_cell,
-              FormatDouble(core.density, 4), FormatDouble(peel.density, 4),
+              std::to_string(d.graph.NumEdges()),
+              FormatSeconds(t_peel.median), FormatSeconds(t_tight.median),
+              FormatSeconds(t_batch.median), FormatSeconds(t_core.median),
+              FormatDouble(t_tight.median / t_core.median, 1) + "x",
+              exact_cell, FormatDouble(core.density, 4),
+              FormatDouble(peel.density, 4),
               std::to_string(PeakRssKib() / 1024) + " MiB"});
 
     // Weighted rows: heavy-tailed weights on the same topology, plus the
@@ -131,56 +121,44 @@ int Main(int argc, const char* const* argv) {
     const WeightedDigraph unit = WeightedDigraph::FromDigraph(d.graph);
     DdsSolution wpeel;
     CoreApproxResult wcore;
-    const double t_wpeel =
+    const Timing t_wpeel =
         TimeMedian(kReps, [&] { wpeel = PeelApprox(wg, peel_options); });
-    const double t_wbatch =
+    const Timing t_wbatch =
         TimeMedian(kReps, [&] { (void)BatchPeelApprox(wg, batch_options); });
-    const double t_wcore =
+    const Timing t_wcore =
         TimeMedian(kReps, [&] { wcore = CoreApprox(wg, &pool); });
-    const double t_unit_peel =
+    const Timing t_unit_peel =
         TimeMedian(kReps, [&] { (void)PeelApprox(unit, peel_options); });
-    const double overhead = t_unit_peel / std::max(t_peel, 1e-12);
+    const double overhead =
+        t_unit_peel.median / std::max(t_peel.median, 1e-12);
     wt.AddRow({d.name, std::to_string(wg.TotalWeight()),
-               FormatSeconds(t_wpeel), FormatSeconds(t_wbatch),
-               FormatSeconds(t_wcore), FormatDouble(wcore.density, 4),
+               FormatSeconds(t_wpeel.median), FormatSeconds(t_wbatch.median),
+               FormatSeconds(t_wcore.median), FormatDouble(wcore.density, 4),
                FormatDouble(wpeel.density, 4),
                FormatDouble(overhead, 2) + "x"});
 
-    if (!first_json_row) json << ",";
-    first_json_row = false;
-    json << "\n    {\"name\": \"" << d.name << "\", \"n\": "
-         << d.graph.NumVertices() << ", \"m\": " << d.graph.NumEdges()
-         << ", \"total_weight\": " << wg.TotalWeight()
-         << ", \"peel_seconds\": " << FormatDouble(t_peel, 6)
-         << ", \"batch_peel_seconds\": " << FormatDouble(t_batch, 6)
-         << ", \"core_approx_seconds\": " << FormatDouble(t_core, 6)
-         << ", \"weighted_peel_seconds\": " << FormatDouble(t_wpeel, 6)
-         << ", \"weighted_batch_peel_seconds\": "
-         << FormatDouble(t_wbatch, 6)
-         << ", \"weighted_core_approx_seconds\": "
-         << FormatDouble(t_wcore, 6)
-         << ", \"unit_weighted_peel_seconds\": "
-         << FormatDouble(t_unit_peel, 6)
-         << ", \"unit_peel_overhead\": " << FormatDouble(overhead, 3)
-         << ", \"rho_peel\": " << FormatDouble(peel.density, 6)
-         << ", \"rho_weighted_peel\": " << FormatDouble(wpeel.density, 6)
-         << "}";
+    json.BeginObject()
+        .Key("name").String(d.name)
+        .Key("n").Int(d.graph.NumVertices())
+        .Key("m").Int(d.graph.NumEdges())
+        .Key("total_weight").Int(wg.TotalWeight());
+    AddTiming(&json, "peel_seconds", t_peel);
+    AddTiming(&json, "batch_peel_seconds", t_batch);
+    AddTiming(&json, "core_approx_seconds", t_core);
+    AddTiming(&json, "weighted_peel_seconds", t_wpeel);
+    AddTiming(&json, "weighted_batch_peel_seconds", t_wbatch);
+    AddTiming(&json, "weighted_core_approx_seconds", t_wcore);
+    AddTiming(&json, "unit_weighted_peel_seconds", t_unit_peel);
+    json.Key("unit_peel_overhead").Double(overhead, 3)
+        .Key("rho_peel").Double(peel.density, 6)
+        .Key("rho_weighted_peel").Double(wpeel.density, 6)
+        .EndObject();
   }
   t.PrintMarkdown(std::cout);
   std::printf("\nweighted instantiations (geometric weights, max 64):\n");
   wt.PrintMarkdown(std::cout);
 
-  if (!json_out->empty()) {
-    json << "\n  ]\n}\n";
-    std::ofstream out(*json_out);
-    if (!out) {
-      std::fprintf(stderr, "ERROR: cannot write %s\n", json_out->c_str());
-      return 1;
-    }
-    out << json.str();
-    std::cout << "wrote " << *json_out << "\n";
-  }
-  return 0;
+  return WriteJsonFile(*json_out, json.EndArray().EndObject().str()) ? 0 : 1;
 }
 
 }  // namespace

@@ -19,13 +19,13 @@
 // default BENCH_e5.json) with the hardware concurrency and the effective
 // worker count per rung — a ladder measured on a single-core container
 // honestly reads as ~1x with every rung clamped to one worker.
+//
+// Every timed cell of both parts is the median of --reps runs.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 
 #include "bench_common.h"
@@ -49,30 +49,31 @@ int Main(int argc, const char* const* argv) {
   int64_t* max_threads = flags.Int64(
       "max_threads", 8, "top of the thread ladder (1,2,4,... up to this)");
   int64_t* reps = flags.Int64(
-      "reps", 2,
-      "repetitions per ladder rung; best-of is reported (single-shot "
-      "timing is too noisy for a committed ratio)");
-  std::string* json_out = flags.String(
-      "json_out", "BENCH_e5.json",
-      "write machine-readable results here (empty string disables)");
+      "reps", kReps,
+      "repetitions per timed cell; the median and quartiles are reported");
+  std::string* json_out = JsonOutFlag(&flags, "BENCH_e5.json");
   flags.ParseOrDie(argc, argv);
 
   const Dataset base = ScalabilityDataset(*quick);
   PrintBanner("E5", "scalability on " + base.name);
   Table t({"fraction", "n", "m", "peel-approx", "core-approx",
            "core-exact"});
+  const int num_reps = static_cast<int>(std::max<int64_t>(1, *reps));
   for (double fraction : {0.2, 0.4, 0.6, 0.8, 1.0}) {
     const Digraph g = EdgeFraction(base.graph, fraction);
-    const double t_peel = TimeOnce([&] { (void)PeelApprox(g); });
-    const double t_core = TimeOnce([&] { (void)CoreApprox(g); });
+    const Timing t_peel = TimeMedian(num_reps, [&] { (void)PeelApprox(g); });
+    const Timing t_core = TimeMedian(num_reps, [&] { (void)CoreApprox(g); });
     std::string exact_cell = "-";
     if (*with_exact) {
       exact_cell = FormatSeconds(
-          TimeOnce([&] { (void)SolveExactDds(g, ExactOptions{}); }));
+          TimeMedian(num_reps, [&] {
+            (void)SolveExactDds(g, ExactOptions{});
+          }).median);
     }
     t.AddRow({FormatDouble(fraction * 100, 0) + "%",
               std::to_string(g.NumVertices()), std::to_string(g.NumEdges()),
-              FormatSeconds(t_peel), FormatSeconds(t_core), exact_cell});
+              FormatSeconds(t_peel.median), FormatSeconds(t_core.median),
+              exact_cell});
   }
   t.PrintMarkdown(std::cout);
 
@@ -85,37 +86,23 @@ int Main(int argc, const char* const* argv) {
               static_cast<long long>(g.NumEdges()), hardware);
   Table st({"threads", "workers", "peel-approx", "speedup", "core-exact",
             "speedup", "identical"});
-  std::ostringstream json;
-  json << "{\n  \"experiment\": \"e5_scalability\",\n  \"dataset\": \""
-       << base.name << "\",\n  \"n\": " << g.NumVertices()
-       << ",\n  \"m\": " << g.NumEdges()
-       << ",\n  \"hardware_concurrency\": " << hardware
-       << ",\n  \"note\": \"speedup = threads-1 wall time / this wall "
-          "time through the DdsEngine facade; peel outputs verified "
-          "bit-identical and exact optimum densities verified equal "
-          "across the ladder; the facade clamps the fan-out to the hardware "
-          "(effective_threads), so a 1-core machine reads ~1x at every "
-          "rung rather than oversubscription losses\",\n"
-          "  \"thread_scaling\": [";
+  JsonWriter json = BenchJson("e5_scalability", num_reps);
+  json.Key("dataset").String(base.name)
+      .Key("n").Int(g.NumVertices())
+      .Key("m").Int(g.NumEdges())
+      .Key("note").String(
+          "speedup = threads-1 median / this median through the DdsEngine "
+          "facade, which clamps the fan-out to the hardware "
+          "(effective_threads); peel outputs verified bit-identical and "
+          "exact optimum densities verified equal across the ladder")
+      .Key("thread_scaling").BeginArray();
 
   DdsEngine engine(g);
   DdsSolution peel_base;
   DdsSolution exact_base;
-  double t_peel1 = 0;
-  double t_exact1 = 0;
-  bool first_row = true;
+  Timing t_peel1;
+  Timing t_exact1;
   bool all_identical = true;
-  // Untimed warmup: first-touch page faults and allocator growth land
-  // here, not in the threads=1 rung that every speedup divides by.
-  {
-    DdsRequest warm;
-    warm.algorithm = DdsAlgorithm::kPeelApprox;
-    (void)engine.Solve(warm);
-    if (*with_exact) {
-      warm.algorithm = DdsAlgorithm::kCoreExact;
-      (void)engine.Solve(warm);
-    }
-  }
   for (int threads = 1; threads <= *max_threads; threads *= 2) {
     DdsRequest peel_request;
     peel_request.algorithm = DdsAlgorithm::kPeelApprox;
@@ -128,17 +115,12 @@ int Main(int argc, const char* const* argv) {
                      : threads;
     DdsSolution peel;
     DdsSolution exact;
-    double t_peel = 1e99;
-    double t_exact = *with_exact ? 1e99 : 0;
-    for (int64_t rep = 0; rep < std::max<int64_t>(1, *reps); ++rep) {
-      t_peel = std::min(
-          t_peel,
-          TimeOnce([&] { peel = engine.Solve(peel_request).value(); }));
-      if (*with_exact) {
-        t_exact = std::min(
-            t_exact,
-            TimeOnce([&] { exact = engine.Solve(exact_request).value(); }));
-      }
+    const Timing t_peel = TimeMedian(
+        num_reps, [&] { peel = engine.Solve(peel_request).value(); });
+    Timing t_exact;
+    if (*with_exact) {
+      t_exact = TimeMedian(
+          num_reps, [&] { exact = engine.Solve(exact_request).value(); });
     }
     bool identical = true;
     if (threads == 1) {
@@ -162,23 +144,24 @@ int Main(int argc, const char* const* argv) {
       }
       all_identical = all_identical && identical;
     }
+    const double peel_speedup = t_peel1.median / t_peel.median;
+    const double exact_speedup =
+        *with_exact ? t_exact1.median / t_exact.median : 0.0;
     st.AddRow({std::to_string(threads), std::to_string(effective),
-               FormatSeconds(t_peel),
-               FormatDouble(t_peel1 / t_peel, 2) + "x",
-               *with_exact ? FormatSeconds(t_exact) : "-",
-               *with_exact ? FormatDouble(t_exact1 / t_exact, 2) + "x" : "-",
+               FormatSeconds(t_peel.median),
+               FormatDouble(peel_speedup, 2) + "x",
+               *with_exact ? FormatSeconds(t_exact.median) : "-",
+               *with_exact ? FormatDouble(exact_speedup, 2) + "x" : "-",
                identical ? "yes" : "NO"});
-    if (!first_row) json << ",";
-    first_row = false;
-    json << "\n    {\"threads\": " << threads
-         << ", \"effective_threads\": " << effective
-         << ", \"peel_seconds\": " << FormatDouble(t_peel, 6)
-         << ", \"peel_speedup\": " << FormatDouble(t_peel1 / t_peel, 3)
-         << ", \"core_exact_seconds\": " << FormatDouble(t_exact, 6)
-         << ", \"core_exact_speedup\": "
-         << FormatDouble(*with_exact ? t_exact1 / t_exact : 0.0, 3)
-         << ", \"outputs_identical\": " << (identical ? "true" : "false")
-         << "}";
+    json.BeginObject()
+        .Key("threads").Int(threads)
+        .Key("effective_threads").Int(effective);
+    AddTiming(&json, "peel_seconds", t_peel);
+    json.Key("peel_speedup").Double(peel_speedup, 3);
+    AddTiming(&json, "core_exact_seconds", t_exact);
+    json.Key("core_exact_speedup").Double(exact_speedup, 3)
+        .Key("outputs_identical").Bool(identical)
+        .EndObject();
   }
   st.PrintMarkdown(std::cout);
   if (!all_identical) {
@@ -187,17 +170,7 @@ int Main(int argc, const char* const* argv) {
     return 1;
   }
 
-  if (!json_out->empty()) {
-    json << "\n  ]\n}\n";
-    std::ofstream out(*json_out);
-    if (!out) {
-      std::fprintf(stderr, "ERROR: cannot write %s\n", json_out->c_str());
-      return 1;
-    }
-    out << json.str();
-    std::cout << "wrote " << *json_out << "\n";
-  }
-  return 0;
+  return WriteJsonFile(*json_out, json.EndArray().EndObject().str()) ? 0 : 1;
 }
 
 }  // namespace

@@ -70,7 +70,8 @@ bool RunLadder(const G& g) {
   for (const Rung& rung : Ladder()) {
     DdsSolution sol;
     const double secs =
-        TimeOnce([&] { sol = SolveExactDds(g, rung.options); });
+        TimeMedian(kReps, [&] { sol = SolveExactDds(g, rung.options); })
+            .median;
     if (reference < 0) reference = sol.density;
     if (std::abs(sol.density - reference) > 1e-5) {
       std::fprintf(stderr, "ERROR: ablation rung %s changed the answer\n",

@@ -24,17 +24,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "flow/dds_network.h"
 #include "flow/dinic.h"
 #include "util/flags.h"
-#include "util/stats.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -46,18 +42,6 @@ FlowCap SourceOutflow(const DdsNetwork& network) {
   FlowCap total = 0;
   for (uint32_t arc : network.source_arcs) total += network.net.FlowOn(arc);
   return total;
-}
-
-// Median and quartiles of one column's per-rep totals.
-struct Quartiles {
-  double q1 = 0;
-  double median = 0;
-  double q3 = 0;
-};
-
-Quartiles SummarizeQuartiles(const std::vector<double>& totals) {
-  return {Quantile(totals, 0.25), Quantile(totals, 0.5),
-          Quantile(totals, 0.75)};
 }
 
 // One step of the replayed binary-search ladder.
@@ -94,26 +78,18 @@ int Main(int argc, const char* const* argv) {
                 "E8: flow-kernel microbench (fresh vs warm Dinic)");
   bool* quick = flags.Bool("quick", false, "drop the largest datasets");
   int64_t* reps = flags.Int64(
-      "reps", 5,
+      "reps", kReps,
       "repetitions per column; the median and quartiles are reported");
   int64_t* num_guesses = flags.Int64(
       "guesses", 12, "binary-search steps per parametric descent");
-  std::string* json_out = flags.String(
-      "json_out", "BENCH_e8.json",
-      "write machine-readable results here (empty string disables)");
+  std::string* json_out = JsonOutFlag(&flags, "BENCH_e8.json");
   flags.ParseOrDie(argc, argv);
 
   PrintBanner("E8", "flow kernel: fresh vs warm-started Dinic");
   Table t({"dataset", "net nodes", "net arcs", "fresh dinic", "probe dinic",
            "fresh/probe"});
-  std::ostringstream json;
-  json << "{\n  \"experiment\": \"e8_flow_kernel\",\n  \"guesses\": "
-       << *num_guesses << ",\n  \"reps\": " << *reps
-       << ",\n  \"statistic\": \"median, q1, q3\","
-       << "\n  \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency()
-       << ",\n  \"datasets\": [";
-  bool first_dataset = true;
+  JsonWriter json = BenchJson("e8_flow_kernel", static_cast<int>(*reps));
+  json.Key("guesses").Int(*num_guesses).Key("datasets").BeginArray();
   for (Dataset& d : KernelDatasets(*quick)) {
     std::vector<VertexId> all(d.graph.NumVertices());
     for (VertexId v = 0; v < d.graph.NumVertices(); ++v) all[v] = v;
@@ -204,37 +180,26 @@ int Main(int argc, const char* const* argv) {
       fresh_totals.push_back(time_fresh());
       probe_totals.push_back(time_probe());
     }
-    const Quartiles fresh = SummarizeQuartiles(fresh_totals);
-    const Quartiles probe = SummarizeQuartiles(probe_totals);
+    const Timing fresh = SummarizeTimes(fresh_totals);
+    const Timing probe = SummarizeTimes(probe_totals);
 
     t.AddRow({d.name, std::to_string(net_nodes), std::to_string(net_arcs),
               FormatSeconds(fresh.median), FormatSeconds(probe.median),
               FormatDouble(fresh.median / probe.median, 2) + "x"});
-    if (!first_dataset) json << ",";
-    first_dataset = false;
-    json << "\n    {\"dataset\": \"" << d.name << "\", \"family\": \""
-         << d.family << "\", \"n\": " << d.graph.NumVertices()
-         << ", \"m\": " << d.graph.NumEdges()
-         << ", \"network_nodes\": " << net_nodes
-         << ", \"network_arcs\": " << net_arcs
-         << ", \"guesses\": " << steps.size() << ",\n"
-         << "     \"fresh\": {\"csr_dinic\": " << fresh.median
-         << ", \"q1\": " << fresh.q1 << ", \"q3\": " << fresh.q3 << "},\n"
-         << "     \"probe\": {\"csr_dinic\": " << probe.median
-         << ", \"q1\": " << probe.q1 << ", \"q3\": " << probe.q3 << "}}";
+    json.BeginObject()
+        .Key("dataset").String(d.name)
+        .Key("family").String(d.family)
+        .Key("n").Int(d.graph.NumVertices())
+        .Key("m").Int(d.graph.NumEdges())
+        .Key("network_nodes").Int(net_nodes)
+        .Key("network_arcs").Int(net_arcs)
+        .Key("guesses").Int(steps.size());
+    AddTiming(&json, "fresh_csr_dinic", fresh);
+    AddTiming(&json, "probe_csr_dinic", probe);
+    json.EndObject();
   }
-  json << "\n  ]\n}\n";
   t.PrintMarkdown(std::cout);
-  if (!json_out->empty()) {
-    std::ofstream out(*json_out);
-    if (!out) {
-      std::fprintf(stderr, "ERROR: cannot write %s\n", json_out->c_str());
-      return 1;
-    }
-    out << json.str();
-    std::cout << "wrote " << *json_out << "\n";
-  }
-  return 0;
+  return WriteJsonFile(*json_out, json.EndArray().EndObject().str()) ? 0 : 1;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "dds/engine.h"
+#include "util/json_writer.h"
 #include "util/table.h"
 
 namespace ddsgraph {
@@ -82,47 +83,43 @@ std::string SolutionSummary(const DdsSolution& solution) {
 
 std::string SolutionJson(const DdsSolution& solution,
                          const std::vector<uint64_t>& labels) {
-  std::ostringstream os;
-  auto vertex_list = [&os, &labels](const std::vector<VertexId>& vs) {
-    os << "[";
-    for (size_t i = 0; i < vs.size(); ++i) {
-      if (i > 0) os << ",";
-      os << (labels.empty() ? vs[i] : labels[vs[i]]);
-    }
-    os << "]";
+  const auto label = [&labels](VertexId v) -> uint64_t {
+    return labels.empty() ? v : labels[v];
   };
-  os << "{\"density\": " << FormatRoundTrip(solution.density)
-     << ", \"pair_edges\": " << solution.pair_edges
-     << ", \"s_size\": " << solution.pair.s.size()
-     << ", \"t_size\": " << solution.pair.t.size() << ", \"s\": ";
-  vertex_list(solution.pair.s);
-  os << ", \"t\": ";
-  vertex_list(solution.pair.t);
-  os << ", \"lower_bound\": " << FormatRoundTrip(solution.lower_bound)
-     << ", \"upper_bound\": " << FormatRoundTrip(solution.upper_bound)
-     << ", \"interrupted\": " << (solution.interrupted ? "true" : "false")
-     << ", \"stats\": {\"ratios_probed\": " << solution.stats.ratios_probed
-     << ", \"flow_networks_built\": " << solution.stats.flow_networks_built
-     << ", \"flow_networks_reused\": "
-     << solution.stats.flow_networks_reused
-     << ", \"warm_start_augmentations\": "
-     << solution.stats.warm_start_augmentations
-     << ", \"arcs_scanned\": " << solution.stats.arcs_scanned
-     << ", \"global_relabels\": " << solution.stats.global_relabels
-     << ", \"flow_solves_dinic\": " << solution.stats.flow_solves_dinic
-     << ", \"flow_solves_push_relabel\": "
-     << solution.stats.flow_solves_push_relabel
-     << ", \"binary_search_iters\": " << solution.stats.binary_search_iters
-     << ", \"max_network_nodes\": " << solution.stats.max_network_nodes
-     << ", \"intervals_pruned\": " << solution.stats.intervals_pruned
-     << ", \"prior_engine_solves\": " << solution.stats.prior_engine_solves
-     << ", \"queue_ms\": " << FormatDouble(solution.stats.queue_ms, 6)
-     << ", \"solve_ms\": " << FormatDouble(solution.stats.solve_ms, 6)
-     << ", \"cache_hit\": " << (solution.stats.cache_hit ? "true" : "false")
-     << ", \"coalesced\": " << (solution.stats.coalesced ? "true" : "false")
-     << ", \"seconds\": " << FormatDouble(solution.stats.seconds, 6)
-     << "}}";
-  return os.str();
+  const SolverStats& stats = solution.stats;
+  JsonWriter json;
+  json.Reserve(640 + 12 * (solution.pair.s.size() + solution.pair.t.size()));
+  json.BeginObject()
+      .Key("density").RoundTrip(solution.density)
+      .Key("pair_edges").Int(solution.pair_edges)
+      .Key("s_size").Int(solution.pair.s.size())
+      .Key("t_size").Int(solution.pair.t.size())
+      .Key("s").IntArray(solution.pair.s, label)
+      .Key("t").IntArray(solution.pair.t, label)
+      .Key("lower_bound").RoundTrip(solution.lower_bound)
+      .Key("upper_bound").RoundTrip(solution.upper_bound)
+      .Key("interrupted").Bool(solution.interrupted)
+      .Key("stats").BeginObject()
+      .Key("ratios_probed").Int(stats.ratios_probed)
+      .Key("flow_networks_built").Int(stats.flow_networks_built)
+      .Key("flow_networks_reused").Int(stats.flow_networks_reused)
+      .Key("warm_start_augmentations").Int(stats.warm_start_augmentations)
+      .Key("arcs_scanned").Int(stats.arcs_scanned)
+      .Key("global_relabels").Int(stats.global_relabels)
+      .Key("flow_solves_dinic").Int(stats.flow_solves_dinic)
+      .Key("flow_solves_push_relabel").Int(stats.flow_solves_push_relabel)
+      .Key("binary_search_iters").Int(stats.binary_search_iters)
+      .Key("max_network_nodes").Int(stats.max_network_nodes)
+      .Key("intervals_pruned").Int(stats.intervals_pruned)
+      .Key("prior_engine_solves").Int(stats.prior_engine_solves)
+      .Key("queue_ms").Double(stats.queue_ms, 6)
+      .Key("solve_ms").Double(stats.solve_ms, 6)
+      .Key("cache_hit").Bool(stats.cache_hit)
+      .Key("coalesced").Bool(stats.coalesced)
+      .Key("seconds").Double(stats.seconds, 6)
+      .EndObject()
+      .EndObject();
+  return json.Take();
 }
 
 }  // namespace ddsgraph

@@ -2,13 +2,12 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 #include <vector>
 
 #include "dds/solver.h"
-#include "util/table.h"
+#include "util/json_writer.h"
 
 namespace ddsgraph {
 namespace {
@@ -122,6 +121,18 @@ bool ConsumeLiteral(Cursor* c, const char* literal) {
   return false;
 }
 
+// Opens a response object with the echoed id and the status; `reserve`
+// sizes the buffer for the whole response.
+JsonWriter ResponseHeader(const std::string& id_raw, const char* status,
+                          size_t reserve = 256) {
+  JsonWriter json;
+  json.Reserve(reserve);
+  json.BeginObject()
+      .Key("id").Raw(id_raw.empty() ? "null" : std::string_view(id_raw))
+      .Key("status").String(status);
+  return json;
+}
+
 }  // namespace
 
 Result<std::map<std::string, JsonScalar>> ParseFlatJsonObject(
@@ -201,32 +212,6 @@ Result<std::map<std::string, JsonScalar>> ParseFlatJsonObject(
     return Status::InvalidArgument(
         "trailing bytes after the JSON object at offset " +
         std::to_string(c.i));
-  }
-  return out;
-}
-
-std::string EscapeJsonString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(ch));
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
   }
   return out;
 }
@@ -312,7 +297,7 @@ Result<WireRequest> ParseWireRequest(const std::string& json) {
   // the verb cannot honor is a client bug, not something to drop.
   auto forbid = [&wire](bool saw, const char* key) -> Status {
     if (!saw) return Status::Ok();
-    return Status::InvalidArgument("\"" + std::string(key) +
+    return Status::InvalidArgument(std::string("\"") + key +
                                    "\" is not valid for op \"" + wire.op +
                                    "\"");
   };
@@ -373,105 +358,86 @@ Result<ServeRequest> ToServeRequest(const WireRequest& wire) {
 std::string OkResponseJson(const WireRequest& wire,
                            const ServeResponse& response,
                            const std::string& solution_json) {
-  std::string out = "{\"id\": ";
-  out += wire.id_raw.empty() ? "null" : wire.id_raw;
-  out += ", \"status\": \"ok\", \"graph\": \"";
-  out += EscapeJsonString(wire.graph);
-  out += "\", \"algo\": \"";
-  out += EscapeJsonString(wire.algo);
-  out += "\", \"weighted\": ";
-  out += (response.entry != nullptr && response.entry->weighted())
-             ? "true"
-             : "false";
-  out += ", \"queue_ms\": " + FormatDouble(response.queue_ms, 6);
-  out += ", \"solve_ms\": " + FormatDouble(response.solve_ms, 6);
-  out += ", \"version\": " + std::to_string(response.version);
-  out += std::string(", \"cache_hit\": ") +
-         (response.cache_hit ? "true" : "false");
-  out += std::string(", \"coalesced\": ") +
-         (response.coalesced ? "true" : "false");
-  out += ", \"solution\": ";
-  out += solution_json;
-  out += "}";
-  return out;
+  JsonWriter json = ResponseHeader(
+      wire.id_raw, "ok", solution_json.size() + wire.graph.size() + 256);
+  json.Key("graph").String(wire.graph)
+      .Key("algo").String(wire.algo)
+      .Key("weighted").Bool(response.entry != nullptr &&
+                            response.entry->weighted())
+      .Key("queue_ms").Double(response.queue_ms, 6)
+      .Key("solve_ms").Double(response.solve_ms, 6)
+      .Key("version").Int(response.version)
+      .Key("cache_hit").Bool(response.cache_hit)
+      .Key("coalesced").Bool(response.coalesced)
+      .Key("solution").Raw(solution_json)
+      .EndObject();
+  return json.Take();
 }
 
 std::string ErrorResponseJson(const std::string& id_raw,
                               const Status& status) {
-  std::string out = "{\"id\": ";
-  out += id_raw.empty() ? "null" : id_raw;
-  out += ", \"status\": \"error\", \"code\": \"";
-  out += StatusCodeName(status.code());
-  out += "\", \"message\": \"";
-  out += EscapeJsonString(status.message());
-  out += "\"}";
-  return out;
+  JsonWriter json = ResponseHeader(id_raw, "error");
+  json.Key("code").String(StatusCodeName(status.code()))
+      .Key("message").String(status.message())
+      .EndObject();
+  return json.Take();
 }
 
 std::string UpdateResponseJson(const WireRequest& wire,
                                const CatalogEntry::UpdateResult& result) {
-  std::string out = "{\"id\": ";
-  out += wire.id_raw.empty() ? "null" : wire.id_raw;
-  out += ", \"status\": \"ok\", \"op\": \"update\", \"graph\": \"";
-  out += EscapeJsonString(wire.graph);
-  out += "\", \"version\": " + std::to_string(result.version);
-  out += ", \"applied\": " + std::to_string(result.applied);
-  out += ", \"num_vertices\": " + std::to_string(result.num_vertices);
-  out += ", \"num_edges\": " + std::to_string(result.num_edges);
-  out += "}";
-  return out;
+  JsonWriter json = ResponseHeader(wire.id_raw, "ok");
+  json.Key("op").String("update")
+      .Key("graph").String(wire.graph)
+      .Key("version").Int(result.version)
+      .Key("applied").Int(result.applied)
+      .Key("num_vertices").Int(result.num_vertices)
+      .Key("num_edges").Int(result.num_edges)
+      .EndObject();
+  return json.Take();
 }
 
 std::string ListGraphsResponseJson(const std::string& id_raw,
                                    const GraphCatalog& catalog) {
-  std::string out = "{\"id\": ";
-  out += id_raw.empty() ? "null" : id_raw;
-  out += ", \"status\": \"ok\", \"op\": \"list_graphs\", \"graphs\": [";
-  bool first = true;
+  JsonWriter json = ResponseHeader(id_raw, "ok", 128 * catalog.size() + 96);
+  json.Key("op").String("list_graphs").Key("graphs").BeginArray();
   for (const CatalogEntry* entry : catalog.Entries()) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"name\": \"" + EscapeJsonString(entry->name());
-    out += std::string("\", \"weighted\": ") +
-           (entry->weighted() ? "true" : "false");
-    out += ", \"version\": " + std::to_string(entry->version());
-    out += ", \"num_vertices\": " + std::to_string(entry->num_vertices());
-    out += ", \"num_edges\": " + std::to_string(entry->num_edges());
-    out += ", \"solves\": " + std::to_string(entry->num_solves());
-    out += "}";
+    json.BeginObject()
+        .Key("name").String(entry->name())
+        .Key("weighted").Bool(entry->weighted())
+        .Key("version").Int(entry->version())
+        .Key("num_vertices").Int(entry->num_vertices())
+        .Key("num_edges").Int(entry->num_edges())
+        .Key("solves").Int(entry->num_solves())
+        .EndObject();
   }
-  out += "]}";
-  return out;
+  json.EndArray().EndObject();
+  return json.Take();
 }
 
 std::string ServerStatsResponseJson(const std::string& id_raw,
                                     const GraphCatalog& catalog,
                                     const RequestScheduler& scheduler) {
-  std::string out = "{\"id\": ";
-  out += id_raw.empty() ? "null" : id_raw;
-  out += ", \"status\": \"ok\", \"op\": \"server_stats\"";
-  out += ", \"num_graphs\": " + std::to_string(catalog.size());
-  out += ", \"accepted\": " + std::to_string(scheduler.accepted());
-  out += ", \"served\": " + std::to_string(scheduler.served());
-  out += ", \"rejected\": " + std::to_string(scheduler.rejected());
-  out += ", \"queued\": " + std::to_string(scheduler.queued());
-  out += ", \"coalesced\": " + std::to_string(scheduler.coalesced());
-  out += ", \"batches\": " + std::to_string(scheduler.batches());
-  out += ", \"batched\": " + std::to_string(scheduler.batched());
   const ResponseCacheCounters cache = scheduler.cache_counters();
-  out += std::string(", \"cache_enabled\": ") +
-         (scheduler.response_cache() != nullptr ? "true" : "false");
-  out += ", \"cache_hits\": " + std::to_string(cache.hits);
-  out += ", \"cache_misses\": " + std::to_string(cache.misses);
-  out += ", \"cache_evictions\": " + std::to_string(cache.evictions);
-  out += ", \"cache_recent_evictions\": " +
-         std::to_string(cache.recent_evictions);
-  out += ", \"cache_invalidations\": " +
-         std::to_string(cache.invalidations);
-  out += ", \"cache_entries\": " + std::to_string(cache.entries);
-  out += ", \"cache_bytes\": " + std::to_string(cache.bytes);
-  out += "}";
-  return out;
+  JsonWriter json = ResponseHeader(id_raw, "ok", 512);
+  json.Key("op").String("server_stats")
+      .Key("num_graphs").Int(catalog.size())
+      .Key("accepted").Int(scheduler.accepted())
+      .Key("served").Int(scheduler.served())
+      .Key("rejected").Int(scheduler.rejected())
+      .Key("queued").Int(scheduler.queued())
+      .Key("coalesced").Int(scheduler.coalesced())
+      .Key("batches").Int(scheduler.batches())
+      .Key("batched").Int(scheduler.batched())
+      .Key("cache_enabled").Bool(scheduler.response_cache() != nullptr)
+      .Key("cache_hits").Int(cache.hits)
+      .Key("cache_misses").Int(cache.misses)
+      .Key("cache_evictions").Int(cache.evictions)
+      .Key("cache_recent_evictions").Int(cache.recent_evictions)
+      .Key("cache_invalidations").Int(cache.invalidations)
+      .Key("cache_entries").Int(cache.entries)
+      .Key("cache_bytes").Int(cache.bytes)
+      .EndObject();
+  return json.Take();
 }
 
 std::string HealthResponseJson(const std::string& id_raw,
@@ -486,7 +452,7 @@ std::string HealthResponseJson(const std::string& id_raw,
   const int64_t capacity = scheduler.queue_capacity();
   const int64_t wal_errors = catalog.wal_sync_errors();
   const ResponseCacheCounters cache = scheduler.cache_counters();
-  std::vector<std::string> reasons;
+  std::vector<const char*> reasons;
   if (!accepting) reasons.push_back("not_accepting");
   // >= 80% of capacity: report saturation *before* Submit starts
   // rejecting, so an operator polling health gets a head start on the
@@ -500,27 +466,22 @@ std::string HealthResponseJson(const std::string& id_raw,
   // would dilute to noise. This one decays once the pressure stops.
   if (cache.recent_evictions > 0) reasons.push_back("cache_evicting");
 
-  std::string out = "{\"id\": ";
-  out += id_raw.empty() ? "null" : id_raw;
-  out += reasons.empty() ? ", \"status\": \"ok\""
-                         : ", \"status\": \"degraded\"";
-  out += ", \"op\": \"health\"";
-  out += std::string(", \"healthy\": ") + (accepting ? "true" : "false");
-  out += std::string(", \"accepting\": ") + (accepting ? "true" : "false");
-  out += ", \"num_graphs\": " + std::to_string(catalog.size());
-  out += ", \"queued\": " + std::to_string(queued);
-  out += ", \"reasons\": [";
-  for (size_t i = 0; i < reasons.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"" + reasons[i] + "\"";
-  }
-  out += "]}";
-  return out;
+  JsonWriter json =
+      ResponseHeader(id_raw, reasons.empty() ? "ok" : "degraded");
+  json.Key("op").String("health")
+      .Key("healthy").Bool(accepting)
+      .Key("accepting").Bool(accepting)
+      .Key("num_graphs").Int(catalog.size())
+      .Key("queued").Int(queued)
+      .Key("reasons").BeginArray();
+  for (const char* reason : reasons) json.String(reason);
+  json.EndArray().EndObject();
+  return json.Take();
 }
 
 std::optional<double> FindJsonNumber(const std::string& json,
                                      const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
+  const std::string needle = JsonKeyNeedle(key);
   const size_t at = json.find(needle);
   if (at == std::string::npos) return std::nullopt;
   Cursor c{json, at + needle.size()};
@@ -531,7 +492,7 @@ std::optional<double> FindJsonNumber(const std::string& json,
 
 std::optional<std::string> FindJsonString(const std::string& json,
                                           const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
+  const std::string needle = JsonKeyNeedle(key);
   const size_t at = json.find(needle);
   if (at == std::string::npos) return std::nullopt;
   Cursor c{json, at + needle.size()};
@@ -542,14 +503,15 @@ std::optional<std::string> FindJsonString(const std::string& json,
 
 Result<std::string> SolutionSliceForCompare(
     const std::string& response_json) {
-  const std::string open = "\"solution\": {";
+  const std::string open = JsonKeyNeedle("solution") + "{";
   const size_t start = response_json.find(open);
   if (start == std::string::npos) {
     return Status::InvalidArgument(
         "response carries no \"solution\" object");
   }
   const size_t brace = start + open.size() - 1;
-  const size_t stats = response_json.find(", \"stats\"", brace);
+  const size_t stats = response_json.find(
+      std::string(kJsonMemberSeparator) + JsonKeyNeedle("stats"), brace);
   if (stats == std::string::npos) {
     return Status::InvalidArgument(
         "solution object carries no \"stats\" suffix");

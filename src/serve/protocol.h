@@ -12,8 +12,10 @@
 /// The dds_server wire protocol (DESIGN.md §13, §14).
 ///
 /// Requests and responses are single JSON objects carried in the framed
-/// byte stream of util/socket.h ("<len>\n<json>\n"). The optional `op`
-/// key selects the verb (default "solve"). One solve request:
+/// byte stream of util/socket.h ("<len>\n<json>\n"); responses are
+/// written through util/json_writer.h, which owns their bytes. The
+/// optional `op` key selects the verb (default "solve"). One solve
+/// request:
 ///
 ///   {"graph": "reviews", "algo": "core-exact", "weighted": true,
 ///    "deadline_ms": 50, "threads": 2, "id": 17}
@@ -83,10 +85,6 @@ struct JsonScalar {
 /// parser small enough to audit. Duplicate keys are rejected.
 Result<std::map<std::string, JsonScalar>> ParseFlatJsonObject(
     const std::string& json);
-
-/// Escapes `s` for inclusion in a JSON string literal (quotes, control
-/// characters, backslash).
-std::string EscapeJsonString(const std::string& s);
 
 /// The parsed wire request, before registry/catalog resolution.
 struct WireRequest {
@@ -164,7 +162,8 @@ std::string HealthResponseJson(const std::string& id_raw,
                                const GraphCatalog& catalog,
                                const RequestScheduler& scheduler);
 
-/// Scans `json` for `"key": ` followed by a number and returns it.
+/// Scans `json` for `"key": ` (JsonKeyNeedle, util/json_writer.h)
+/// followed by a number and returns it.
 /// Substring-based on purpose: response JSON nests (solution, stats) and
 /// the load client only needs a few numeric fields, not a full parser.
 /// Returns nullopt when the key is absent.

@@ -156,7 +156,6 @@ TEST(ServeProtocolTest, UnknownAlgoNamesTheRegistry) {
 }
 
 TEST(ServeProtocolTest, ResponseHelpersRoundTrip) {
-  EXPECT_EQ(EscapeJsonString("a\"b\\c\n"), "a\\\"b\\\\c\\n");
   const std::string error =
       ErrorResponseJson("17", Status::NotFound("no such graph 'x'"));
   EXPECT_EQ(FindJsonString(error, "status").value_or(""), "error");

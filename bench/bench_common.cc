@@ -109,20 +109,48 @@ std::string CpuModel() {
   return "unknown";
 }
 
+// Steal and total ticks of the aggregate "cpu" line of /proc/stat
+// (user nice system idle iowait irq softirq steal; guest time is already
+// inside user); zero where there is none.
+struct HostTicks {
+  int64_t steal = 0;
+  int64_t total = 0;
+};
+
+HostTicks ReadHostTicks() {
+  HostTicks ticks;
+  std::ifstream stat("/proc/stat");
+  std::string cpu;
+  if (!(stat >> cpu) || cpu != "cpu") return ticks;
+  for (int field = 0; field < 8; ++field) {
+    int64_t value = 0;
+    if (!(stat >> value)) break;
+    ticks.total += value;
+    if (field == 7) ticks.steal = value;
+  }
+  return ticks;
+}
+
+// The host's ticks when the bench process started.
+const HostTicks kRunStartTicks = ReadHostTicks();
+
+// Share of all host CPU ticks stolen by the hypervisor since the process
+// started: a contended run shows here, a quiet one reads ~0.
+double RunStealFraction() {
+  const HostTicks now = ReadHostTicks();
+  const int64_t total = now.total - kRunStartTicks.total;
+  if (total <= 0) return 0;
+  return static_cast<double>(now.steal - kRunStartTicks.steal) /
+         static_cast<double>(total);
+}
+
 }  // namespace
 
 JsonWriter BenchJson(const std::string& experiment, int reps) {
   JsonWriter json(/*line_depth=*/2);
   json.BeginObject()
       .Key("experiment").String(experiment)
-      .Key("reps").Int(reps)
-      .Key("provenance").BeginObject()
-      .Key("hardware_concurrency").Int(std::thread::hardware_concurrency())
-      .Key("cpu_model").String(CpuModel())
-      .Key("compiler").String(__VERSION__)
-      .Key("build_type").String(DDSGRAPH_BUILD_TYPE)
-      .Key("git_revision").String(DDSGRAPH_GIT_REVISION)
-      .EndObject();
+      .Key("reps").Int(reps);
   return json;
 }
 
@@ -148,10 +176,19 @@ void AddSolverJson(JsonWriter* json, std::string_view name,
       .EndObject();
 }
 
-bool WriteJsonFile(const std::string& path, const std::string& json) {
+bool WriteBenchJson(const std::string& path, JsonWriter* json) {
+  json->Key("provenance").BeginObject()
+      .Key("hardware_concurrency").Int(std::thread::hardware_concurrency())
+      .Key("cpu_model").String(CpuModel())
+      .Key("compiler").String(__VERSION__)
+      .Key("build_type").String(DDSGRAPH_BUILD_TYPE)
+      .Key("git_revision").String(DDSGRAPH_GIT_REVISION)
+      .Key("host_steal_frac").Double(RunStealFraction(), 6)
+      .EndObject()
+      .EndObject();
   if (path.empty()) return true;
   std::ofstream out(path);
-  out << json << "\n";
+  out << json->str() << "\n";
   if (!out.flush()) {
     std::fprintf(stderr, "ERROR: cannot write %s\n", path.c_str());
     return false;

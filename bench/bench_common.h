@@ -71,11 +71,10 @@ Timing TimeMedian(int reps, const std::function<void()>& fn);
 /// `default_path`; an empty string disables it).
 std::string* JsonOutFlag(FlagSet* flags, const std::string& default_path);
 
-/// Starts a bench result file: the top-level object with "experiment",
-/// the "reps" behind every timing, and the "provenance" block
-/// (hardware_concurrency, cpu_model, compiler, build_type and the
-/// git_revision captured at configure time). Each member of the top
-/// object and of its arrays (one dataset row each) gets its own line.
+/// Starts a bench result file: the top-level object with "experiment"
+/// and the "reps" behind every timing. Each member of the top object and
+/// of its arrays (one dataset row each) gets its own line.
+/// WriteBenchJson closes it.
 JsonWriter BenchJson(const std::string& experiment, int reps);
 
 /// Writes `"key": {"median": .., "q1": .., "q3": ..}` (seconds).
@@ -87,10 +86,15 @@ void AddTiming(JsonWriter* json, std::string_view key, const Timing& t);
 void AddSolverJson(JsonWriter* json, std::string_view name,
                    const DdsSolution& solution, const Timing& time);
 
-/// Writes `json` plus a newline to `path` and prints "wrote <path>"; an
-/// empty path writes nothing. Returns false, after printing an error,
-/// when the file cannot be written.
-bool WriteJsonFile(const std::string& path, const std::string& json);
+/// Closes the top-level object that BenchJson opened with the
+/// "provenance" block: hardware_concurrency, cpu_model, compiler,
+/// build_type, the git_revision captured at configure time, and
+/// host_steal_frac, the share of all host CPU ticks in /proc/stat stolen
+/// by the hypervisor while the bench ran (~0 on a quiet host). Then
+/// writes it plus a newline to `path` and prints "wrote <path>"; an empty
+/// path writes nothing. Returns false, after printing an error, when the
+/// file cannot be written.
+bool WriteBenchJson(const std::string& path, JsonWriter* json);
 
 /// Prints the experiment banner (id, title, substitution note).
 void PrintBanner(const std::string& experiment_id, const std::string& title);

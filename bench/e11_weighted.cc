@@ -151,9 +151,8 @@ int Main(int argc, const char* const* argv) {
       .EndObject()
       .Key("parametric_speedup")
       .Double(t_weighted_fresh.median / std::max(t_weighted.median, 1e-12),
-              3)
-      .EndObject();
-  if (!WriteJsonFile(*json_out, json.str())) return 1;
+              3);
+  if (!WriteBenchJson(*json_out, &json)) return 1;
   return std::abs(d_plain - d_weighted) < 1e-5 ? 0 : 1;
 }
 

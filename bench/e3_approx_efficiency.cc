@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <optional>
 
 #include "bench_common.h"
 #include "core/core_approx.h"
@@ -68,7 +69,9 @@ int Main(int argc, const char* const* argv) {
   Table wt({"dataset", "W", "peel(w)", "batch-peel(w)", "core-approx(w)",
             "rho_w(core)", "rho_w(peel)", "unit-peel overhead"});
   JsonWriter json = BenchJson("e3_approx_efficiency", kReps);
-  json.Key("note")
+  json.Key("epsilon").Double(*epsilon, 6)
+      .Key("tight_epsilon").Double(*tight_epsilon, 6)
+      .Key("note")
       .String(
           "weighted = geometric AttachRandomWeights; unit_peel_overhead = "
           "all-weights-1 weighted peel time / unweighted peel time (same "
@@ -97,18 +100,18 @@ int Main(int argc, const char* const* argv) {
         kReps, [&] { (void)BatchPeelApprox(d.graph, batch_options); });
     const Timing t_core =
         TimeMedian(kReps, [&] { core = CoreApprox(d.graph, &pool); });
-    std::string exact_cell = "-";
+    std::optional<Timing> t_exact;
     if (*with_exact) {
-      const Timing t_exact = TimeMedian(
+      t_exact = TimeMedian(
           kReps, [&] { (void)SolveExactDds(d.graph, ExactOptions{}); });
-      exact_cell = FormatSeconds(t_exact.median);
     }
     t.AddRow({d.name, std::to_string(d.graph.NumVertices()),
               std::to_string(d.graph.NumEdges()),
               FormatSeconds(t_peel.median), FormatSeconds(t_tight.median),
               FormatSeconds(t_batch.median), FormatSeconds(t_core.median),
               FormatDouble(t_tight.median / t_core.median, 1) + "x",
-              exact_cell, FormatDouble(core.density, 4),
+              t_exact ? FormatSeconds(t_exact->median) : "-",
+              FormatDouble(core.density, 4),
               FormatDouble(peel.density, 4),
               std::to_string(PeakRssKib() / 1024) + " MiB"});
 
@@ -143,8 +146,10 @@ int Main(int argc, const char* const* argv) {
         .Key("m").Int(d.graph.NumEdges())
         .Key("total_weight").Int(wg.TotalWeight());
     AddTiming(&json, "peel_seconds", t_peel);
+    AddTiming(&json, "tight_peel_seconds", t_tight);
     AddTiming(&json, "batch_peel_seconds", t_batch);
     AddTiming(&json, "core_approx_seconds", t_core);
+    if (t_exact) AddTiming(&json, "core_exact_seconds", *t_exact);
     AddTiming(&json, "weighted_peel_seconds", t_wpeel);
     AddTiming(&json, "weighted_batch_peel_seconds", t_wbatch);
     AddTiming(&json, "weighted_core_approx_seconds", t_wcore);
@@ -158,7 +163,7 @@ int Main(int argc, const char* const* argv) {
   std::printf("\nweighted instantiations (geometric weights, max 64):\n");
   wt.PrintMarkdown(std::cout);
 
-  return WriteJsonFile(*json_out, json.EndArray().EndObject().str()) ? 0 : 1;
+  return WriteBenchJson(*json_out, &json.EndArray()) ? 0 : 1;
 }
 
 }  // namespace

@@ -9,8 +9,9 @@
 //
 // Part 2: the same solvers on the full graph across a thread ladder
 // {1, 2, 4, 8}, driven through the DdsEngine facade exactly as a serving
-// deployment would. The peel ladder fans its rungs across the pool
-// (bit-identical winners via the per-worker champion merge), and the exact
+// deployment would. The peel ladder's rung tree shares its forked walks
+// across the pool (bit-identical winners: every rung gets its own pass's
+// result, merged in rung order), and the exact
 // ratio-space search becomes a work-sharing interval loop (same optimum,
 // deterministic tie-breaks). The facade clamps the fan-out to the probed
 // hardware concurrency (oversubscribed CPU-bound peels only thrash), so
@@ -170,7 +171,7 @@ int Main(int argc, const char* const* argv) {
     return 1;
   }
 
-  return WriteJsonFile(*json_out, json.EndArray().EndObject().str()) ? 0 : 1;
+  return WriteBenchJson(*json_out, &json.EndArray()) ? 0 : 1;
 }
 
 }  // namespace

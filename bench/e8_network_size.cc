@@ -199,7 +199,7 @@ int Main(int argc, const char* const* argv) {
     json.EndObject();
   }
   t.PrintMarkdown(std::cout);
-  return WriteJsonFile(*json_out, json.EndArray().EndObject().str()) ? 0 : 1;
+  return WriteBenchJson(*json_out, &json.EndArray()) ? 0 : 1;
 }
 
 }  // namespace

@@ -23,36 +23,37 @@
 /// the ladder (the |S|/|T| ratio space is weight-independent) carry the
 /// 2*phi(1+eps) certificate over verbatim with w(E) in place of |E|.
 ///
+/// The rungs are not peeled one by one. A rung's ratio enters its pass
+/// only through a test that is monotone along the ladder, so rungs that
+/// agree make the same removals: one walk carries a whole range of rungs
+/// and forks where the range's end rungs disagree (DESIGN.md §4). Each
+/// rung still gets exactly the result of its own pass.
+///
 /// Complexity: O((n + m) * log(n) / eps) at unit weights using monotone
-/// bucket queues; the weighted instantiation swaps in a lazy-deletion
-/// heap (util/peel_queue.h) when the weighted degrees are too wide for a
-/// bucket array, for an extra log n on the queue operations — never O(W)
-/// anywhere.
+/// bucket queues (at most one walk per rung; shared prefixes are walked
+/// once), plus O(n + D) per fork to copy the walk's state; the weighted
+/// instantiation swaps in a lazy-deletion heap (util/peel_queue.h) when
+/// the weighted degrees are too wide for a bucket array, for an extra
+/// log n on the queue operations — never O(W) anywhere.
 
 namespace ddsgraph {
 
 struct PeelApproxOptions {
   /// Geometric ladder step; smaller = tighter guarantee, more passes.
   double epsilon = 0.1;
-  /// Worker count for the ladder fan-out (util/thread_pool.h): the rungs
-  /// are independent read-only passes over `g`, so they are distributed
-  /// across `threads` workers and the winners merged with the sequential
-  /// tie-break (equal density -> lowest rung index). Results are
-  /// bit-identical for every thread count; 1 (the default) runs the
-  /// ladder inline on the caller.
+  /// Worker count for the rung tree (util/thread_pool.h): the ranges
+  /// split off by forks are independent walks over the read-only `g`, so
+  /// `threads` workers take them from a shared stack, and the rungs are
+  /// merged afterwards with the sequential tie-break (equal density ->
+  /// lowest rung index). Results are bit-identical for every thread
+  /// count; 1 (the default) walks the whole tree inline on the caller.
   int threads = 1;
 };
 
 /// Runs the peeling baseline. stats.ratios_probed reports the number of
 /// ladder points; upper_bound carries the certified 2*phi(1+eps) bound.
-/// The passes run are the ladder's distinct ones: every rung below
-/// 1/MaxWeightedOutDegree() peels like the first such rung, and every rung
-/// above MaxWeightedInDegree() like the first rung past it, so only the
-/// first rung of each of these two end runs is peeled (DESIGN.md §4).
-/// Each pass records its removal sequence into per-worker scratch and the
-/// champion's sequence is kept, so the winning rung is materialized by
-/// replaying the recorded prefix instead of peeling the graph a second
-/// time.
+/// The winning rung's pair is materialized by walking that rung alone up
+/// to its best step.
 template <typename G>
 DdsSolution PeelApprox(const G& g,
                        const PeelApproxOptions& options = PeelApproxOptions());

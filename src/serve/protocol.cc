@@ -14,10 +14,10 @@ namespace {
 
 // ------------------------------------------------------- flat JSON lexer
 // A deliberately small scanner for the flat request schema. Keeping it
-// under ~150 lines (no nesting, no \u escapes) is what makes a
-// hand-rolled parser defensible over pulling in a JSON dependency the
-// container doesn't have; anything outside the subset fails with a
-// pointed message instead of being half-parsed.
+// under ~150 lines (no nesting) is what makes a hand-rolled parser
+// defensible over pulling in a JSON dependency the container doesn't
+// have; anything outside the subset fails with a pointed message instead
+// of being half-parsed.
 
 struct Cursor {
   const std::string& s;
@@ -32,6 +32,73 @@ struct Cursor {
     }
   }
 };
+
+// The four hex digits of a \uXXXX escape starting at s[at], or nullopt.
+std::optional<uint32_t> ParseHex4(const std::string& s, size_t at) {
+  if (at + 4 > s.size()) return std::nullopt;
+  uint32_t value = 0;
+  for (size_t i = at; i < at + 4; ++i) {
+    const char ch = s[i];
+    uint32_t digit;
+    if (ch >= '0' && ch <= '9') {
+      digit = static_cast<uint32_t>(ch - '0');
+    } else if (ch >= 'a' && ch <= 'f') {
+      digit = static_cast<uint32_t>(ch - 'a' + 10);
+    } else if (ch >= 'A' && ch <= 'F') {
+      digit = static_cast<uint32_t>(ch - 'A' + 10);
+    } else {
+      return std::nullopt;
+    }
+    value = value * 16 + digit;
+  }
+  return value;
+}
+
+void AppendUtf8(uint32_t code_point, std::string* out) {
+  auto put = [out](uint32_t byte) { out->push_back(static_cast<char>(byte)); };
+  if (code_point < 0x80) {
+    put(code_point);
+  } else if (code_point < 0x800) {
+    put(0xc0 | (code_point >> 6));
+    put(0x80 | (code_point & 0x3f));
+  } else if (code_point < 0x10000) {
+    put(0xe0 | (code_point >> 12));
+    put(0x80 | ((code_point >> 6) & 0x3f));
+    put(0x80 | (code_point & 0x3f));
+  } else {
+    put(0xf0 | (code_point >> 18));
+    put(0x80 | ((code_point >> 12) & 0x3f));
+    put(0x80 | ((code_point >> 6) & 0x3f));
+    put(0x80 | (code_point & 0x3f));
+  }
+}
+
+// Decodes the \uXXXX escape whose 'u' is at c->i, a UTF-16 surrogate
+// pair included, as UTF-8, and leaves c->i on its last hex digit.
+Status ParseUnicodeEscape(Cursor* c, std::string* decoded) {
+  const std::optional<uint32_t> unit = ParseHex4(c->s, c->i + 1);
+  if (!unit.has_value()) {
+    return Status::InvalidArgument("\\u must be followed by 4 hex digits");
+  }
+  c->i += 4;
+  uint32_t code_point = *unit;
+  if (code_point >= 0xdc00 && code_point <= 0xdfff) {
+    return Status::InvalidArgument("unpaired low surrogate in \\u escape");
+  }
+  if (code_point >= 0xd800 && code_point <= 0xdbff) {
+    const size_t next = c->i + 1;
+    const std::optional<uint32_t> low =
+        c->s.compare(next, 2, "\\u") == 0 ? ParseHex4(c->s, next + 2)
+                                           : std::nullopt;
+    if (!low.has_value() || *low < 0xdc00 || *low > 0xdfff) {
+      return Status::InvalidArgument("unpaired high surrogate in \\u escape");
+    }
+    code_point = 0x10000 + ((code_point - 0xd800) << 10) + (*low - 0xdc00);
+    c->i += 6;
+  }
+  AppendUtf8(code_point, decoded);
+  return Status::Ok();
+}
 
 Status ParseJsonString(Cursor* c, std::string* decoded, std::string* raw) {
   const size_t start = c->i;
@@ -66,8 +133,8 @@ Status ParseJsonString(Cursor* c, std::string* decoded, std::string* raw) {
         case 'r': decoded->push_back('\r'); break;
         case 't': decoded->push_back('\t'); break;
         case 'u':
-          return Status::InvalidArgument(
-              "\\u escapes are outside the supported JSON subset");
+          RETURN_IF_ERROR(ParseUnicodeEscape(c, decoded));
+          break;
         default:
           return Status::InvalidArgument(
               std::string("unknown escape '\\") + esc + "'");

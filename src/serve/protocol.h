@@ -170,8 +170,9 @@ std::string HealthResponseJson(const std::string& id_raw,
 std::optional<double> FindJsonNumber(const std::string& json,
                                      const std::string& key);
 
-/// Scans `json` for `"key": "<string>"` and returns the raw (undecoded)
-/// string contents. Returns nullopt when absent.
+/// Scans `json` for `"key": "<string>"` and returns the decoded string
+/// contents (escapes resolved, `\uXXXX` and surrogate pairs as UTF-8).
+/// Returns nullopt when absent or malformed.
 std::optional<std::string> FindJsonString(const std::string& json,
                                           const std::string& key);
 

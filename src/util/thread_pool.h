@@ -14,8 +14,8 @@
 /// (DESIGN.md §11).
 ///
 /// Every parallelizable work shape in the library is coarse-grained — a
-/// whole peel pass per ladder rung, a whole ratio probe per interval, a
-/// whole decomposition peel per speculative x — so the pool is
+/// whole peel walk per range of ladder rungs, a whole ratio probe per
+/// interval, a whole decomposition peel per speculative x — so the pool is
 /// deliberately simple: `threads` workers total, where the *calling*
 /// thread is worker 0 and `threads - 1` spawned threads are workers
 /// 1..threads-1. A pool of size <= 1 spawns nothing and runs every
@@ -54,8 +54,8 @@ class ThreadPool {
 
   /// Runs `body(worker)` once per worker concurrently (the caller runs
   /// worker 0) and blocks until every invocation returns. This is the
-  /// primitive behind both ParallelFor and the exact engine's
-  /// work-sharing interval loop.
+  /// primitive behind ParallelFor and the work-sharing loops of the exact
+  /// engine's intervals and the peel ladder's rung tree.
   void RunOnAllWorkers(const std::function<void(int)>& body);
 
   /// Runs `fn(index, worker)` for every index in [0, n), distributing
@@ -70,8 +70,7 @@ class ThreadPool {
   /// Parallelism changes only when each r_i is computed, never the fold
   /// order, so the result is bit-identical to the sequential loop. This
   /// is the store-all variant of the determinism patterns above; callers
-  /// whose per-item results are large (e.g. the peel ladder, which keeps
-  /// recorded removal sequences) use the other pattern instead —
+  /// whose per-item results are large use the other pattern instead —
   /// per-worker bests merged under an index-aware total order.
   template <typename R>
   R ParallelOrderedReduce(int64_t n, R init,

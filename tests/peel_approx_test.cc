@@ -10,6 +10,7 @@
 #include "dds/density.h"
 #include "dds/naive_exact.h"
 #include "graph/generators.h"
+#include "util/peel_queue.h"
 #include "util/random.h"
 
 namespace ddsgraph {
@@ -85,12 +86,13 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndDensities, PeelApproxGuaranteeTest,
     ::testing::Combine(::testing::Range(0, 12), ::testing::Range(0, 4)));
 
-// ------------------------------------------------ collapsed ladder end runs
+// ---------------------------------------------------- pinned full-ladder answers
 
 // Every rung below 1/D_out peels like the first such rung, and every rung
-// above D_in like the first rung past it, so PeelApprox peels only the
-// first rung of each end run. The values below were recorded from the
-// build that still peeled every rung; they must stay bit-identical.
+// above D_in like the first rung past it, so on these graphs the rung
+// tree carries long end runs on one walk. The values below were recorded
+// from the build that peeled every rung on its own; they must stay
+// bit-identical.
 struct PeelPin {
   double density;
   int64_t pair_edges;
@@ -114,8 +116,8 @@ uint64_t PairHash(const DdsPair& pair) {
 }
 
 // How many ladder rungs follow the first rung of their end run (the
-// closing rung at n not counted), with a wider margin than the solver's,
-// so a positive count means the collapse really skips passes.
+// closing rung at n not counted), with a margin against rounding, so a
+// positive count means the graph really has rungs that peel alike.
 template <typename G>
 int64_t CollapsibleRungs(const G& g, double epsilon) {
   const double n = g.NumVertices();
@@ -144,7 +146,7 @@ void ExpectPinned(const G& g, const PeelPin& pin) {
     EXPECT_EQ(PairHash(sol.pair), pin.pair_hash) << "threads " << threads;
     EXPECT_EQ(sol.lower_bound, pin.density) << "threads " << threads;
     EXPECT_EQ(sol.upper_bound, pin.upper_bound) << "threads " << threads;
-    // The statistic still counts the whole ladder, collapsed rungs too.
+    // The statistic counts the whole ladder.
     EXPECT_EQ(sol.stats.ratios_probed, pin.ratios_probed);
   }
 }
@@ -207,8 +209,8 @@ TEST(PeelApproxPinnedTest, InStarCollapsesNearlyEveryLowRung) {
 
 TEST(PeelApproxPinnedTest, WinnerNextToTheHighEndRunIsKept) {
   // The best pair is the in-star of vertex 18 (ratio 8 = D_in), found on
-  // rungs just below the high end run; collapsing from 0.7 * D_in up
-  // instead of from D_in loses it (density 2.75 instead of sqrt(8)).
+  // rungs just below the high end run; walking the rungs from 0.7 * D_in
+  // up like the first of them loses it (density 2.75 instead of sqrt(8)).
   const Digraph g = UniformDigraph(160, 320, 3);
   ASSERT_EQ(g.MaxWeightedInDegree(), 8);
   const std::vector<VertexId> s = {4, 8, 43, 91, 106, 115, 124, 142};
@@ -226,6 +228,187 @@ TEST(PeelApproxPinnedTest, UnitWeightLiftsMatchFullLadder) {
   ExpectPinned(WeightedDigraph::FromDigraph(
                    PlantedDenseBlock(3000, 12000, 20, 30, 0.9, 7).graph),
                kPlantedPin);
+}
+
+// ------------------------------------------------ the per-rung oracle
+
+// The reference PeelApprox: one independent greedy pass per ladder rung,
+// each recording its removals, merged first-strictly-better over rungs
+// (density desc, rung asc), with the winner read off its recording. The
+// rung tree must reproduce its whole solution.
+template <typename G>
+DdsSolution PeelEveryRung(const G& g, double epsilon) {
+  DdsSolution solution;
+  if (g.NumEdges() == 0) return solution;
+  const uint32_t n = g.NumVertices();
+  std::vector<double> ladder;
+  for (double a = 1.0 / n; a < n; a *= 1.0 + epsilon) ladder.push_back(a);
+  ladder.push_back(n);
+  solution.stats.ratios_probed = static_cast<int64_t>(ladder.size());
+
+  double best_density = 0;
+  int64_t best_step = -1;
+  std::vector<std::pair<VertexId, bool>> best_removals;  // (v, from S)
+  for (const double a : ladder) {
+    const double sqrt_a = std::sqrt(a);
+    std::vector<bool> in_s(n, true);
+    std::vector<bool> in_t(n, true);
+    std::vector<int64_t> dout(n);
+    std::vector<int64_t> din(n);
+    PeelQueue<G> s_queue(n, g.MaxWeightedOutDegree());
+    PeelQueue<G> t_queue(n, g.MaxWeightedInDegree());
+    for (VertexId v = 0; v < n; ++v) {
+      dout[v] = g.WeightedOutDegree(v);
+      din[v] = g.WeightedInDegree(v);
+      s_queue.Insert(v, dout[v]);
+      t_queue.Insert(v, din[v]);
+    }
+    int64_t weight = g.TotalWeight();
+    int64_t n_s = n;
+    int64_t n_t = n;
+    double pass_density = 0;
+    int64_t pass_step = -1;
+    std::vector<std::pair<VertexId, bool>> removals;
+    auto consider = [&] {
+      if (n_s == 0 || n_t == 0 || weight == 0) return;
+      const double density =
+          static_cast<double>(weight) /
+          std::sqrt(static_cast<double>(n_s) * static_cast<double>(n_t));
+      if (density > pass_density) {
+        pass_density = density;
+        pass_step = static_cast<int64_t>(removals.size());
+      }
+    };
+    consider();
+    while (n_s > 0 && n_t > 0) {
+      const double s = static_cast<double>(*s_queue.PeekMinKey());
+      const double t = static_cast<double>(*t_queue.PeekMinKey());
+      if (s * sqrt_a <= t / sqrt_a) {
+        const VertexId u = s_queue.PopMin()->first;
+        in_s[u] = false;
+        --n_s;
+        const auto nbrs = g.OutNeighbors(u);
+        for (size_t i = 0; i < nbrs.size(); ++i) {
+          if (!in_t[nbrs[i]]) continue;
+          const int64_t w = g.OutWeight(u, i);
+          weight -= w;
+          din[nbrs[i]] -= w;
+          t_queue.DecreaseKey(nbrs[i], din[nbrs[i]]);
+        }
+        removals.emplace_back(u, true);
+      } else {
+        const VertexId v = t_queue.PopMin()->first;
+        in_t[v] = false;
+        --n_t;
+        const auto nbrs = g.InNeighbors(v);
+        for (size_t i = 0; i < nbrs.size(); ++i) {
+          if (!in_s[nbrs[i]]) continue;
+          const int64_t w = g.InWeight(v, i);
+          weight -= w;
+          dout[nbrs[i]] -= w;
+          s_queue.DecreaseKey(nbrs[i], dout[nbrs[i]]);
+        }
+        removals.emplace_back(v, false);
+      }
+      consider();
+    }
+    if (pass_density > best_density) {
+      best_density = pass_density;
+      best_step = pass_step;
+      best_removals = std::move(removals);
+    }
+  }
+  if (best_step >= 0) {
+    std::vector<bool> in_s(n, true);
+    std::vector<bool> in_t(n, true);
+    for (int64_t i = 0; i < best_step; ++i) {
+      const auto [v, from_s] = best_removals[static_cast<size_t>(i)];
+      (from_s ? in_s : in_t)[v] = false;
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      if (in_s[v]) solution.pair.s.push_back(v);
+      if (in_t[v]) solution.pair.t.push_back(v);
+    }
+    solution.density = PairDensity(g, solution.pair);
+    solution.pair_edges = PairWeight(g, solution.pair.s, solution.pair.t);
+  }
+  solution.lower_bound = solution.density;
+  solution.upper_bound =
+      2.0 * RatioMismatchPhi(1.0 + epsilon) * solution.density;
+  return solution;
+}
+
+// Every field but the wall time.
+void ExpectSameSolution(const DdsSolution& got, const DdsSolution& want) {
+  EXPECT_EQ(got.pair.s, want.pair.s);
+  EXPECT_EQ(got.pair.t, want.pair.t);
+  EXPECT_EQ(got.density, want.density);
+  EXPECT_EQ(got.pair_edges, want.pair_edges);
+  EXPECT_EQ(got.lower_bound, want.lower_bound);
+  EXPECT_EQ(got.upper_bound, want.upper_bound);
+  EXPECT_EQ(got.interrupted, want.interrupted);
+  SolverStats stats = got.stats;
+  stats.seconds = want.stats.seconds;
+  EXPECT_EQ(stats.ToString(), want.stats.ToString());
+}
+
+template <typename G>
+void ExpectMatchesEveryRung(const G& g) {
+  for (const double epsilon : {0.5, 0.1, 0.01}) {
+    const DdsSolution want = PeelEveryRung(g, epsilon);
+    EXPECT_GT(want.density, 0.0);
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "epsilon " << epsilon << " threads " << threads);
+      PeelApproxOptions options;
+      options.epsilon = epsilon;
+      options.threads = threads;
+      ExpectSameSolution(PeelApprox(g, options), want);
+    }
+  }
+}
+
+TEST(PeelApproxRungTreeTest, RmatMatchesEveryRung) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    ExpectMatchesEveryRung(RmatDigraph(9, 3000, seed));
+  }
+}
+
+TEST(PeelApproxRungTreeTest, UniformMatchesEveryRung) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    ExpectMatchesEveryRung(UniformDigraph(300, 1500, seed));
+  }
+}
+
+TEST(PeelApproxRungTreeTest, HeavyWeightsOnTheHeapMatchEveryRung) {
+  WeightOptions weights;
+  weights.min_weight = 1;
+  weights.max_weight = 100000;
+  const WeightedDigraph g =
+      AttachRandomWeights(RmatDigraph(8, 1500, 4), 9, weights);
+  ASSERT_FALSE(HybridPeelQueue::UsesBucket(g.NumVertices(),
+                                           g.MaxWeightedOutDegree()));
+  ASSERT_FALSE(HybridPeelQueue::UsesBucket(g.NumVertices(),
+                                           g.MaxWeightedInDegree()));
+  ExpectMatchesEveryRung(g);
+}
+
+TEST(PeelApproxRungTreeTest, UnitLiftOnTheBucketMatchesEveryRung) {
+  const WeightedDigraph g =
+      WeightedDigraph::FromDigraph(RmatDigraph(9, 3000, 2));
+  ASSERT_TRUE(HybridPeelQueue::UsesBucket(g.NumVertices(),
+                                          g.MaxWeightedOutDegree()));
+  ASSERT_TRUE(HybridPeelQueue::UsesBucket(g.NumVertices(),
+                                          g.MaxWeightedInDegree()));
+  ExpectMatchesEveryRung(g);
+}
+
+TEST(PeelApproxRungTreeTest, InStarMatchesEveryRung) {
+  std::vector<Edge> edges;
+  for (VertexId v = 1; v <= 300; ++v) edges.push_back({v, 0});
+  ExpectMatchesEveryRung(Digraph::FromEdges(301, edges));
 }
 
 // ------------------------------------------------------- weighted peeling

@@ -123,6 +123,40 @@ TEST(ServeProtocolTest, RejectsNestingDuplicatesAndTrailingBytes) {
   EXPECT_FALSE(ParseFlatJsonObject("not json at all").ok());
 }
 
+TEST(ServeProtocolTest, DecodesUnicodeEscapesAsUtf8) {
+  const auto parsed = ParseFlatJsonObject(
+      "{\"ascii\": \"a\\u0062c\", \"nul\": \"x\\u0000y\", "
+      "\"two\": \"caf\\u00e9\", \"three\": \"\\u20AC\", "
+      "\"pair\": \"\\ud83d\\ude00\"}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const auto& map = parsed.value();
+  EXPECT_EQ(map.at("ascii").string_value, "abc");
+  EXPECT_EQ(map.at("nul").string_value, std::string("x\0y", 3));
+  EXPECT_EQ(map.at("two").string_value, "caf\xc3\xa9");
+  EXPECT_EQ(map.at("three").string_value, "\xe2\x82\xac");
+  EXPECT_EQ(map.at("pair").string_value, "\xf0\x9f\x98\x80");
+  // The raw form keeps the escapes as they were sent.
+  EXPECT_EQ(map.at("ascii").raw, "\"a\\u0062c\"");
+}
+
+TEST(ServeProtocolTest, RejectsMalformedUnicodeEscapes) {
+  for (const char* bad : {"\"\\u12\"", "\"\\u12g4\"", "\"\\ude00\"",
+                          "\"\\ud83d\"", "\"\\ud83dx\"", "\"\\ud83d\\u0041\"",
+                          "\"\\ud83d\\ud83d\""}) {
+    EXPECT_FALSE(ParseFlatJsonObject(std::string("{\"a\": ") + bad + "}").ok())
+        << bad;
+  }
+}
+
+TEST(ServeProtocolTest, ControlCharactersInMessagesRoundTrip) {
+  // JsonWriter writes \x01 as \u0001; the reader must decode it back.
+  const std::string error =
+      ErrorResponseJson("1", Status::NotFound("bad \x01 name"));
+  EXPECT_NE(error.find("\\u0001"), std::string::npos);
+  EXPECT_EQ(FindJsonString(error, "message"),
+            std::optional<std::string>("bad \x01 name"));
+}
+
 TEST(ServeProtocolTest, WireRequestDefaultsAndStrictKeys) {
   const auto ok = ParseWireRequest("{\"graph\": \"g\"}");
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();

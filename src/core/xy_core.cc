@@ -1,92 +1,10 @@
 #include "core/xy_core.h"
 
-#include <algorithm>
+#include <numeric>
 
 #include "util/logging.h"
 
 namespace ddsgraph {
-namespace {
-
-// Shared weight-generic peeling engine. `in_s` / `in_t` mark the candidate
-// memberships on entry and the fixpoint memberships on exit. For the
-// unweighted instantiation OutWeight/InWeight fold to 1 and this is
-// exactly the original unit peel.
-template <typename G>
-void PeelToFixpoint(const G& g, int64_t x, int64_t y, std::vector<bool>& in_s,
-                    std::vector<bool>& in_t) {
-  const uint32_t n = g.NumVertices();
-  std::vector<int64_t> dout(n, 0);  // w(out(u) ∩ T) for u in S
-  std::vector<int64_t> din(n, 0);   // w(in(v) ∩ S) for v in T
-
-  for (VertexId u = 0; u < n; ++u) {
-    if (!in_s[u]) continue;
-    const auto nbrs = g.OutNeighbors(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (in_t[nbrs[i]]) {
-        const int64_t w = g.OutWeight(u, i);
-        dout[u] += w;
-        din[nbrs[i]] += w;
-      }
-    }
-  }
-
-  // Work stack of (vertex, side) violations; side 0 = S, side 1 = T.
-  std::vector<std::pair<VertexId, int>> stack;
-  for (VertexId u = 0; u < n; ++u) {
-    if (x > 0 && in_s[u] && dout[u] < x) stack.emplace_back(u, 0);
-    if (y > 0 && in_t[u] && din[u] < y) stack.emplace_back(u, 1);
-  }
-
-  while (!stack.empty()) {
-    const auto [v, side] = stack.back();
-    stack.pop_back();
-    if (side == 0) {
-      if (!in_s[v]) continue;
-      in_s[v] = false;
-      const auto nbrs = g.OutNeighbors(v);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const VertexId w = nbrs[i];
-        if (in_t[w]) {
-          din[w] -= g.OutWeight(v, i);
-          if (y > 0 && din[w] < y) stack.emplace_back(w, 1);
-        }
-      }
-    } else {
-      if (!in_t[v]) continue;
-      in_t[v] = false;
-      const auto nbrs = g.InNeighbors(v);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const VertexId w = nbrs[i];
-        if (in_s[w]) {
-          dout[w] -= g.InWeight(v, i);
-          if (x > 0 && dout[w] < x) stack.emplace_back(w, 0);
-        }
-      }
-    }
-  }
-}
-
-XyCore CollectCore(const std::vector<bool>& in_s,
-                   const std::vector<bool>& in_t) {
-  XyCore core;
-  for (VertexId v = 0; v < in_s.size(); ++v) {
-    if (in_s[v]) core.s.push_back(v);
-    if (in_t[v]) core.t.push_back(v);
-  }
-  return core;
-}
-
-}  // namespace
-
-template <typename G>
-XyCore ComputeXyCore(const G& g, int64_t x, int64_t y) {
-  CHECK_GE(x, 0);
-  CHECK_GE(y, 0);
-  std::vector<bool> in_s(g.NumVertices(), true);
-  std::vector<bool> in_t(g.NumVertices(), true);
-  PeelToFixpoint(g, x, y, in_s, in_t);
-  return CollectCore(in_s, in_t);
-}
 
 template <typename G>
 XyCore ComputeXyCoreWithin(const G& g, int64_t x, int64_t y,
@@ -104,8 +22,7 @@ XyCore ComputeXyCoreWithin(const G& g, int64_t x, int64_t y,
   if (scratch->dout.size() < n) scratch->dout.resize(n, 0);
   if (scratch->din.size() < n) scratch->din.resize(n, 0);
   // Candidate lists must be duplicate-free: a repeated vertex would have
-  // its degree accumulated once per occurrence below (the old bool-mark
-  // implementation was idempotent; the list-driven one is not).
+  // its degree accumulated once per occurrence below.
   for (VertexId u : s_init) {
     CHECK_LT(u, n);
     DCHECK(!scratch->in_s.Contains(u)) << "duplicate s candidate " << u;
@@ -130,8 +47,7 @@ XyCore ComputeXyCoreWithin(const G& g, int64_t x, int64_t y,
   }
 
   // Violation work-stack peel to the fixpoint; the fixpoint is unique, so
-  // the stack discipline (candidate order here, vertex-id order in the
-  // full-graph peel) cannot change the result.
+  // the stack discipline cannot change the result.
   auto& stack = scratch->stack;
   stack.clear();
   for (VertexId u : s_init) {
@@ -180,11 +96,11 @@ XyCore ComputeXyCoreWithin(const G& g, int64_t x, int64_t y,
 }
 
 template <typename G>
-XyCore ComputeXyCoreWithin(const G& g, int64_t x, int64_t y,
-                           const std::vector<VertexId>& s_init,
-                           const std::vector<VertexId>& t_init) {
+XyCore ComputeXyCore(const G& g, int64_t x, int64_t y) {
+  std::vector<VertexId> all(g.NumVertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
   XyCoreScratch scratch;
-  return ComputeXyCoreWithin(g, x, y, s_init, t_init, &scratch);
+  return ComputeXyCoreWithin(g, x, y, all, all, &scratch);
 }
 
 template <typename G>
@@ -221,13 +137,6 @@ template XyCore ComputeXyCoreWithin<Digraph>(
 template XyCore ComputeXyCoreWithin<WeightedDigraph>(
     const WeightedDigraph&, int64_t, int64_t, const std::vector<VertexId>&,
     const std::vector<VertexId>&, XyCoreScratch*);
-template XyCore ComputeXyCoreWithin<Digraph>(const Digraph&, int64_t,
-                                             int64_t,
-                                             const std::vector<VertexId>&,
-                                             const std::vector<VertexId>&);
-template XyCore ComputeXyCoreWithin<WeightedDigraph>(
-    const WeightedDigraph&, int64_t, int64_t, const std::vector<VertexId>&,
-    const std::vector<VertexId>&);
 template bool IsValidXyCore<Digraph>(const Digraph&, const XyCore&, int64_t,
                                      int64_t);
 template bool IsValidXyCore<WeightedDigraph>(const WeightedDigraph&,

@@ -26,12 +26,14 @@
 /// w(E(S,T)) in place of |E(S,T)| (a non-empty weighted [x,y]-core has
 /// weighted density >= sqrt(x*y)).
 ///
-/// Computation is a peeling fixpoint: repeatedly delete S-side vertices
-/// whose restricted out-degree drops below x and T-side vertices whose
-/// restricted in-degree drops below y, in any order; the fixpoint is
-/// order-independent (tested) and reached in O(n + m). Because any order
-/// works, this peel needs only a violation work-stack — no min-key
-/// extraction — so unlike the decomposition sweeps and the greedy peels
+/// Computation is one peeling fixpoint, `ComputeXyCoreWithin`:
+/// repeatedly delete S-side candidates whose restricted out-degree drops
+/// below x and T-side candidates whose restricted in-degree drops below
+/// y, in any order; the fixpoint is order-independent (tested) and
+/// reached in time linear in the candidates and their incident edges.
+/// `ComputeXyCore` is that peel over every vertex. Because any order
+/// works, the peel needs only a violation work-stack — no min-key
+/// extraction — so unlike the decomposition sweep and the greedy peels
 /// it takes no PeelQueue (util/peel_queue.h) and is already optimal for
 /// both weight policies.
 ///
@@ -50,8 +52,9 @@ struct XyCore {
   bool Empty() const { return s.empty() && t.empty(); }
 };
 
-/// Computes the [x,y]-core of `g`. x = 0 (resp. y = 0) disables the S-side
-/// (resp. T-side) constraint, so e.g. the [0,0]-core is (V, V).
+/// Computes the [x,y]-core of `g`: ComputeXyCoreWithin over the ascending
+/// list of all vertices on a private scratch. x = 0 (resp. y = 0) disables
+/// the S-side (resp. T-side) constraint, so e.g. the [0,0]-core is (V, V).
 template <typename G>
 XyCore ComputeXyCore(const G& g, int64_t x, int64_t y);
 
@@ -75,9 +78,8 @@ struct XyCoreScratch {
 /// edges from `s_init` to `t_init` count. Because cores are nested, calling
 /// this with the S/T sides of a weaker core gives the same result as
 /// ComputeXyCore on the full graph (tested), in time proportional to the
-/// smaller object (`scratch` carries the amortized per-vertex arrays; the
-/// scratch-less overload below pays a one-off allocation instead). The
-/// candidate lists must be duplicate-free (DCHECKed — degrees are
+/// smaller object (`scratch` carries the amortized per-vertex arrays).
+/// The candidate lists must be duplicate-free (DCHECKed — degrees are
 /// accumulated per list entry); the returned sides are ascending
 /// whenever `s_init` / `t_init` are — the fixpoint is unique and
 /// membership is tested in input order.
@@ -86,12 +88,6 @@ XyCore ComputeXyCoreWithin(const G& g, int64_t x, int64_t y,
                            const std::vector<VertexId>& s_init,
                            const std::vector<VertexId>& t_init,
                            XyCoreScratch* scratch);
-
-/// Convenience overload with a private single-use scratch.
-template <typename G>
-XyCore ComputeXyCoreWithin(const G& g, int64_t x, int64_t y,
-                           const std::vector<VertexId>& s_init,
-                           const std::vector<VertexId>& t_init);
 
 /// Validates the defining property: every u in core.s has weighted
 /// out-degree >= x into core.t and every v in core.t weighted in-degree
@@ -109,12 +105,6 @@ extern template XyCore ComputeXyCoreWithin<Digraph>(
 extern template XyCore ComputeXyCoreWithin<WeightedDigraph>(
     const WeightedDigraph&, int64_t, int64_t, const std::vector<VertexId>&,
     const std::vector<VertexId>&, XyCoreScratch*);
-extern template XyCore ComputeXyCoreWithin<Digraph>(
-    const Digraph&, int64_t, int64_t, const std::vector<VertexId>&,
-    const std::vector<VertexId>&);
-extern template XyCore ComputeXyCoreWithin<WeightedDigraph>(
-    const WeightedDigraph&, int64_t, int64_t, const std::vector<VertexId>&,
-    const std::vector<VertexId>&);
 extern template bool IsValidXyCore<Digraph>(const Digraph&, const XyCore&,
                                             int64_t, int64_t);
 extern template bool IsValidXyCore<WeightedDigraph>(const WeightedDigraph&,

@@ -16,8 +16,19 @@ namespace ddsgraph {
 static_assert(std::is_same_v<PeelQueue<Digraph>, BucketQueue>);
 static_assert(std::is_same_v<PeelQueue<WeightedDigraph>, HybridPeelQueue>);
 
-template <typename G>
-int64_t MaxYForX(const G& g, int64_t x) {
+namespace {
+
+enum class Side { kS, kT };
+
+// The fixed-x sweep: enforce the x-constraint once, then raise y with a
+// policy-selected peel queue over (weighted) in-degrees, jumping past
+// empty levels. Returns y_max(x). `on_peel(side, v, level)` fires for
+// every vertex the y-raising phase removes, with the last level whose
+// core still held it: a vertex peeled while y rises to K + 1 sits in the
+// [x, K]-core but not the [x, K + 1]-core. S-side vertices removed by the
+// x-constraint alone are in no [x, y]-core and are not reported.
+template <typename G, typename OnPeel>
+int64_t FixedXSweep(const G& g, int64_t x, OnPeel&& on_peel) {
   CHECK_GE(x, 1);
   const uint32_t n = g.NumVertices();
   if (n == 0 || g.TotalWeight() == 0) return 0;
@@ -32,13 +43,13 @@ int64_t MaxYForX(const G& g, int64_t x) {
   }
 
   // S-side violations cascade through this stack; T-side removals are
-  // driven by the bucket queue below as y rises.
+  // driven by the peel queue below as y rises.
   std::vector<VertexId> s_stack;
   uint32_t t_remaining = n;
 
-  // Policy-selected: a bucket array over plain in-degrees for Digraph, a
-  // lazy heap for WeightedDigraph (a bucket array of MaxWeightedInDegree
-  // slots would be an O(W) allocation per call).
+  // Policy-selected: a bucket array over plain in-degrees for Digraph;
+  // for WeightedDigraph the hybrid, which falls back to a lazy heap when
+  // a bucket array of MaxWeightedInDegree slots would cost O(W) per call.
   PeelQueue<G> t_queue(n, g.MaxWeightedInDegree());
 
   auto remove_from_s = [&](VertexId u) {
@@ -98,11 +109,13 @@ int64_t MaxYForX(const G& g, int64_t x) {
       const VertexId v = popped->first;
       if (!in_t[v]) continue;
       remove_from_t(v);
+      on_peel(Side::kT, v, y - 1);
       while (!s_stack.empty()) {
         const VertexId u = s_stack.back();
         s_stack.pop_back();
         if (!in_s[u] || dout[u] >= x) continue;
         remove_from_s(u);
+        on_peel(Side::kS, u, y - 1);
       }
     }
     if (t_remaining == 0 || t_queue.Empty()) break;
@@ -118,85 +131,25 @@ int64_t MaxYForX(const G& g, int64_t x) {
   return best_y;
 }
 
+}  // namespace
+
+template <typename G>
+int64_t MaxYForX(const G& g, int64_t x) {
+  return FixedXSweep(g, x, [](Side, VertexId, int64_t) {});
+}
+
 template int64_t MaxYForX<Digraph>(const Digraph&, int64_t);
 template int64_t MaxYForX<WeightedDigraph>(const WeightedDigraph&, int64_t);
 
 FixedXCoreNumbers ComputeFixedXCoreNumbers(const Digraph& g, int64_t x) {
-  CHECK_GE(x, 1);
-  const uint32_t n = g.NumVertices();
   FixedXCoreNumbers result;
-  result.s_number.assign(n, -1);
-  result.t_number.assign(n, 0);
-  if (n == 0 || g.NumEdges() == 0) return result;
-
-  std::vector<bool> in_s(n, true);
-  std::vector<bool> in_t(n, true);
-  std::vector<int64_t> dout(n);
-  std::vector<int64_t> din(n);
-  for (VertexId v = 0; v < n; ++v) {
-    dout[v] = g.OutDegree(v);
-    din[v] = g.InDegree(v);
-  }
-  std::vector<VertexId> s_stack;
-  uint32_t t_remaining = n;
-  PeelQueue<Digraph> t_queue(n, g.MaxInDegree());
-
-  // Phase 1: enforce the x-constraint at y = 0. Vertices surviving it are
-  // in the [x,0]-core's S side (number >= 0).
-  for (VertexId u = 0; u < n; ++u) {
-    if (dout[u] < x) s_stack.push_back(u);
-  }
-  while (!s_stack.empty()) {
-    const VertexId u = s_stack.back();
-    s_stack.pop_back();
-    if (!in_s[u]) continue;
-    in_s[u] = false;
-    for (VertexId v : g.OutNeighbors(u)) {
-      if (in_t[v]) --din[v];
-    }
-  }
-  for (VertexId u = 0; u < n; ++u) {
-    if (in_s[u]) result.s_number[u] = 0;
-  }
-  for (VertexId v = 0; v < n; ++v) t_queue.Insert(v, din[v]);
-
-  // Phase 2: raise y; a vertex removed while peeling towards level y was
-  // last present in the [x, y-1]-core.
-  for (int64_t y = 1;; ++y) {
-    while (true) {
-      const auto min_key = t_queue.PeekMinKey();
-      if (!min_key.has_value() || *min_key >= y) break;
-      const auto popped = t_queue.PopMin();
-      const VertexId v = popped->first;
-      if (!in_t[v]) continue;
-      in_t[v] = false;
-      result.t_number[v] = y - 1;
-      --t_remaining;
-      for (VertexId u : g.InNeighbors(v)) {
-        if (in_s[u] && --dout[u] < x) s_stack.push_back(u);
-      }
-      while (!s_stack.empty()) {
-        const VertexId u = s_stack.back();
-        s_stack.pop_back();
-        if (!in_s[u] || dout[u] >= x) continue;
-        in_s[u] = false;
-        result.s_number[u] = y - 1;
-        for (VertexId w : g.OutNeighbors(u)) {
-          if (in_t[w]) {
-            --din[w];
-            if (t_queue.Contains(w)) t_queue.DecreaseKey(w, din[w]);
-          }
-        }
-      }
-    }
-    if (t_remaining == 0 || t_queue.Empty()) break;
-    result.y_max = y;
-  }
-  // Survivors sit in every level up to y_max.
-  for (VertexId v = 0; v < n; ++v) {
-    if (in_s[v]) result.s_number[v] = result.y_max;
-    if (in_t[v]) result.t_number[v] = result.y_max;
-  }
+  result.s_number.assign(g.NumVertices(), -1);
+  result.t_number.assign(g.NumVertices(), 0);
+  // The sweep ends with every vertex peeled, so each one that reaches the
+  // y-raising phase gets its number from the hook.
+  result.y_max = FixedXSweep(g, x, [&](Side side, VertexId v, int64_t level) {
+    (side == Side::kS ? result.s_number : result.t_number)[v] = level;
+  });
   return result;
 }
 

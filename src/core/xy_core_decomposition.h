@@ -16,17 +16,20 @@
 /// with `MaxYForX` peels directly (core/core_approx.h), while
 /// `CoreSkyline` lists the whole staircase.
 ///
-/// `MaxYForX` runs a single incremental peel per fixed x: enforce the
+/// One fixed-x sweep serves both per-x questions: enforce the
 /// x-constraint once, then raise y with a policy-selected peel queue
 /// (util/peel_queue.h) over (weighted) in-degrees, jumping past empty
 /// levels — a monotone bucket queue at unit weights (the directed
 /// analogue of Batagelj-Zaversnik k-core decomposition, O(n + m +
-/// max_in_degree) per x) and a lazy-deletion heap at integer weights
-/// (O((n + m) log n) per x, independent of the weighted degree range).
-/// It is a template over `DigraphT<WeightPolicy>` — the same sweep drives
-/// the unweighted and the weighted core approximation
-/// (core/core_approx.h) — explicitly instantiated here for the two
-/// policies.
+/// max_in_degree) per x) and, at integer weights, the bucket array when
+/// the weighted-degree range is dense enough and a lazy-deletion heap
+/// otherwise (O((n + m) log n) per x, independent of the range).
+/// `MaxYForX` reads only the last level the sweep reaches;
+/// `ComputeFixedXCoreNumbers` also stamps every vertex the sweep peels
+/// with the last level whose core still held it. `MaxYForX` is a
+/// template over `DigraphT<WeightPolicy>` — the same sweep drives the
+/// unweighted and the weighted core approximation (core/core_approx.h) —
+/// explicitly instantiated here for the two policies.
 
 namespace ddsgraph {
 
@@ -91,7 +94,7 @@ struct FixedXCoreNumbers {
   int64_t y_max = 0;  ///< MaxYForX(g, x)
 };
 
-/// Computes the fixed-x decomposition in one incremental peel,
+/// Computes the fixed-x decomposition in one run of MaxYForX's sweep,
 /// O(n + m + max_in_degree). Requires x >= 1.
 FixedXCoreNumbers ComputeFixedXCoreNumbers(const Digraph& g, int64_t x);
 

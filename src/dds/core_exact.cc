@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <utility>
 
 #include "core/core_approx.h"
@@ -34,6 +35,9 @@ int64_t SideThreshold(double bound) {
 template <typename G>
 struct EngineState {
   const G* g = nullptr;
+  /// Every vertex id, ascending: the candidate lists of a full-graph core
+  /// locate and of an unpruned probe.
+  std::vector<VertexId> all_vertices;
   ExactOptions options;
   double delta = 0;
   double upper_global = 0;
@@ -158,10 +162,11 @@ struct ContextProbe {
 // were no stronger than this context's — the parent interval's candidate
 // core. Cores are nested, so the context core is located *inside it* in
 // O(|within|) instead of peeling the full graph (the same fixpoint comes
-// out; only the cost changes). The D&C loop threads each probe's located
-// core to its two subintervals: the incumbent only rises and a child
-// context is a sub-interval, so the child's [x,y]-thresholds dominate
-// the parent's and the containment prerequisite always holds.
+// out; only the cost changes); null locates it among all vertices, with
+// the same peel on the same workspace scratch. The D&C loop threads each
+// probe's located core to its two subintervals: the incumbent only rises
+// and a child context is a sub-interval, so the child's [x,y]-thresholds
+// dominate the parent's and the containment prerequisite always holds.
 template <typename G>
 ContextProbe ProbeInContextAt(const EngineState<G>& state,
                               double incumbent_density, const Fraction& ratio,
@@ -170,20 +175,17 @@ ContextProbe ProbeInContextAt(const EngineState<G>& state,
                               ProbeWorkspace* workspace) {
   const G& g = *state.g;
   ContextProbe result;
-  std::vector<VertexId> s_cand;
-  std::vector<VertexId> t_cand;
-  const std::vector<VertexId>* probe_s = &s_cand;
-  const std::vector<VertexId>* probe_t = &t_cand;
+  const std::vector<VertexId>* probe_s = &state.all_vertices;
+  const std::vector<VertexId>* probe_t = &state.all_vertices;
   if (state.options.core_pruning && incumbent_density > 0) {
     const double sqrt_lo = std::sqrt(lo_ctx.ToDouble());
     const double sqrt_hi = std::sqrt(hi_ctx.ToDouble());
     const int64_t x_c = SideThreshold(incumbent_density / (2.0 * sqrt_hi));
     const int64_t y_c = SideThreshold(incumbent_density * sqrt_lo / 2.0);
-    XyCore core =
-        within != nullptr
-            ? ComputeXyCoreWithin(g, x_c, y_c, within->s, within->t,
-                                  &workspace->refine_scratch)
-            : ComputeXyCore(g, x_c, y_c);
+    XyCore core = ComputeXyCoreWithin(
+        g, x_c, y_c, within != nullptr ? within->s : state.all_vertices,
+        within != nullptr ? within->t : state.all_vertices,
+        &workspace->refine_scratch);
     if (core.Empty()) {
       result.probe.h_upper = incumbent_density;
       result.context_exhausted = true;
@@ -195,13 +197,6 @@ ContextProbe ProbeInContextAt(const EngineState<G>& state,
     result.located = std::move(located);
     probe_s = &result.located->s;
     probe_t = &result.located->t;
-  } else {
-    s_cand.resize(g.NumVertices());
-    t_cand.resize(g.NumVertices());
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      s_cand[v] = v;
-      t_cand[v] = v;
-    }
   }
   const ProbeWindow window{ratio, /*lower_start=*/0.0, state.upper_global,
                            state.delta, stop_below};
@@ -641,6 +636,9 @@ DdsSolution SolveExactDds(const G& g, const ExactOptions& options,
 
   EngineState<G> state;
   state.g = &g;
+  state.all_vertices.resize(g.NumVertices());
+  std::iota(state.all_vertices.begin(), state.all_vertices.end(),
+            VertexId{0});
   state.options = options;
   state.control = control;
   state.workspace =

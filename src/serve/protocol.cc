@@ -425,17 +425,18 @@ Result<ServeRequest> ToServeRequest(const WireRequest& wire) {
 std::string OkResponseJson(const WireRequest& wire,
                            const ServeResponse& response,
                            const std::string& solution_json) {
+  const SolverStats& stats = response.solution.stats;
   JsonWriter json = ResponseHeader(
       wire.id_raw, "ok", solution_json.size() + wire.graph.size() + 256);
   json.Key("graph").String(wire.graph)
       .Key("algo").String(wire.algo)
       .Key("weighted").Bool(response.entry != nullptr &&
                             response.entry->weighted())
-      .Key("queue_ms").Double(response.queue_ms, 6)
-      .Key("solve_ms").Double(response.solve_ms, 6)
+      .Key("queue_ms").Double(stats.queue_ms, 6)
+      .Key("solve_ms").Double(stats.solve_ms, 6)
       .Key("version").Int(response.version)
-      .Key("cache_hit").Bool(response.cache_hit)
-      .Key("coalesced").Bool(response.coalesced)
+      .Key("cache_hit").Bool(stats.cache_hit)
+      .Key("coalesced").Bool(stats.coalesced)
       .Key("solution").Raw(solution_json)
       .EndObject();
   return json.Take();

@@ -112,8 +112,10 @@ Result<WireRequest> ParseWireRequest(const std::string& json);
 /// algorithms (the same help string dds_tool prints).
 Result<ServeRequest> ToServeRequest(const WireRequest& wire);
 
-/// Serializes a success response (see the file comment). `solution_json`
-/// is the engine's SolutionJson output, embedded verbatim.
+/// Serializes a success response (see the file comment). The top-level
+/// `queue_ms` / `solve_ms` / `cache_hit` / `coalesced` fields are read
+/// from `response.solution.stats`. `solution_json` is the engine's
+/// SolutionJson output, embedded verbatim.
 std::string OkResponseJson(const WireRequest& wire,
                            const ServeResponse& response,
                            const std::string& solution_json);

@@ -124,12 +124,12 @@ Status RequestScheduler::Submit(ServeRequest request, ServeCallback done) {
     ServeResponse response;
     response.entry = entry;
     response.version = admit_version;
-    response.cache_hit = true;
     response.solution = std::move(hit).value();
-    response.solution.stats.queue_ms = 0;
-    response.solution.stats.solve_ms = 0;
-    response.solution.stats.cache_hit = true;
-    response.solution.stats.coalesced = false;
+    SolverStats& stats = response.solution.stats;
+    stats.queue_ms = 0;
+    stats.solve_ms = 0;
+    stats.cache_hit = true;
+    stats.coalesced = false;
     done(std::move(response));
     return Status::Ok();
   }
@@ -221,22 +221,19 @@ void RequestScheduler::Process(std::unique_ptr<Flight> flight) {
     ServeResponse response;
     response.entry = flight->entry;
     response.version = solved_version;
-    response.coalesced = waiters[i].coalesced;
-    // Per-waiter end-to-end accounting: everything since this request's
-    // own admission that wasn't the shared solve was waiting. Followers
-    // that attached mid-solve clamp to 0.
-    response.solve_ms = solve_ms;
-    response.queue_ms =
-        std::max(0.0, waiters[i].queued_at.Millis() - solve_ms);
     if (solved.ok()) {
       response.solution = solved.value();
-      response.solution.stats.queue_ms = response.queue_ms;
-      response.solution.stats.solve_ms = response.solve_ms;
-      response.solution.stats.cache_hit = false;
-      response.solution.stats.coalesced = response.coalesced;
     } else {
       response.status = solved.status();
     }
+    // Per-waiter end-to-end accounting: everything since this request's
+    // own admission that wasn't the shared solve was waiting. Followers
+    // that attached mid-solve clamp to 0.
+    SolverStats& stats = response.solution.stats;
+    stats.solve_ms = solve_ms;
+    stats.queue_ms = std::max(0.0, waiters[i].queued_at.Millis() - solve_ms);
+    stats.cache_hit = false;
+    stats.coalesced = waiters[i].coalesced;
     waiters[i].done(std::move(response));
   }
 }

@@ -58,7 +58,7 @@
 /// returns its incumbent with a certified [lower, upper] bracket at the
 /// first control check instead of the scheduler inventing an empty
 /// "timed out" answer. Coalesced waiters are charged the same way: their
-/// `queue_ms` runs from their own admission to the shared solve's
+/// `stats.queue_ms` runs from their own admission to the shared solve's
 /// completion, minus the solve time itself (deadlined requests never
 /// coalesce, so the charge is reporting, not budget).
 ///
@@ -83,24 +83,20 @@ struct ServeRequest {
   DdsRequest request;  ///< algorithm + options; deadline is end-to-end
 };
 
-/// What the completion callback receives. On a non-OK `status` the
-/// solution is default-constructed and only the latency fields are
-/// meaningful. On success `solution.stats.queue_ms` / `solve_ms` carry
-/// the same values as the top-level fields (satellite: the stats travel
-/// inside SolutionJson for wire clients), and `stats.cache_hit` /
-/// `stats.coalesced` mirror the markers below.
+/// What the completion callback receives. The serve provenance lives in
+/// `solution.stats` on every path, error responses included: the latency
+/// split `queue_ms` (admission → worker pickup) / `solve_ms` (worker
+/// pickup → solve return), both 0 on a cache hit, and the `cache_hit` /
+/// `coalesced` markers. On a non-OK `status` the rest of the solution is
+/// default-constructed.
 struct ServeResponse {
   Status status;
   DdsSolution solution;
-  double queue_ms = 0;  ///< admission → worker pickup (0 on a cache hit)
-  double solve_ms = 0;  ///< worker pickup → solve return (0 on a hit)
   const CatalogEntry* entry = nullptr;  ///< resolved catalog entry
   /// Entry version the solution corresponds to — what the response cache
   /// keys on, and what clients compare against update acks to check
   /// freshness.
   int64_t version = 0;
-  bool cache_hit = false;  ///< answered from the response cache
-  bool coalesced = false;  ///< answered by another request's solve
 };
 
 using ServeCallback = std::function<void(ServeResponse)>;

@@ -26,9 +26,9 @@
 /// Determinism contract: the pool schedules *which worker* computes each
 /// work item dynamically (atomic counter), but callers are expected to
 /// keep all cross-item decisions out of the workers — either by writing
-/// results into per-index slots and reducing sequentially afterwards
-/// (`ParallelOrderedReduce`), or by keeping per-worker bests and merging
-/// them under a total order that does not mention the worker id. Both
+/// results into per-index slots and folding them in index order on the
+/// caller afterwards, or by keeping per-worker bests and merging them
+/// under a total order that does not mention the worker id. Both
 /// patterns make the final result independent of the schedule; every
 /// parallel solver in the library uses one of them (DESIGN.md §11).
 ///
@@ -62,30 +62,6 @@ class ThreadPool {
   /// indices dynamically across the workers, and blocks until done. With
   /// one worker (or n <= 1) the loop runs inline in index order.
   void ParallelFor(int64_t n, const std::function<void(int64_t, int)>& fn);
-
-  /// Deterministic ordered reduction: computes `map(i, worker)` for every
-  /// i in [0, n) across the pool, then folds the results *sequentially in
-  /// ascending index order* on the calling thread:
-  ///   acc = reduce(acc, r_0); acc = reduce(acc, r_1); ...
-  /// Parallelism changes only when each r_i is computed, never the fold
-  /// order, so the result is bit-identical to the sequential loop. This
-  /// is the store-all variant of the determinism patterns above; callers
-  /// whose per-item results are large use the other pattern instead —
-  /// per-worker bests merged under an index-aware total order.
-  template <typename R>
-  R ParallelOrderedReduce(int64_t n, R init,
-                          const std::function<R(int64_t, int)>& map,
-                          const std::function<R(R, R)>& reduce) {
-    std::vector<R> results(static_cast<size_t>(n));
-    ParallelFor(n, [&](int64_t i, int worker) {
-      results[static_cast<size_t>(i)] = map(i, worker);
-    });
-    R acc = std::move(init);
-    for (int64_t i = 0; i < n; ++i) {
-      acc = reduce(std::move(acc), std::move(results[static_cast<size_t>(i)]));
-    }
-    return acc;
-  }
 
  private:
   void WorkerLoop(int worker);

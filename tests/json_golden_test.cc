@@ -117,10 +117,10 @@ TEST_F(JsonGoldenCatalogTest, OkResponse) {
   wire.algo = "core-exact";
   ServeResponse response;
   response.entry = catalog_.Find("b-\"w\"");
-  response.queue_ms = 0.5;
-  response.solve_ms = 12.3456789;
+  response.solution.stats.queue_ms = 0.5;
+  response.solution.stats.solve_ms = 12.3456789;
   response.version = 3;
-  response.coalesced = true;
+  response.solution.stats.coalesced = true;
   EXPECT_EQ(OkResponseJson(wire, response, SolutionJson(FullSolution())),
       R"({"id": "req-7", "status": "ok", "graph": "b-\"w\"", )"
       R"("algo": "core-exact", "weighted": true, "queue_ms": 0.5, )"
@@ -143,7 +143,7 @@ TEST_F(JsonGoldenCatalogTest, OkResponseWithoutIdOrEntry) {
   WireRequest wire;
   wire.graph = "tab\there";
   ServeResponse response;
-  response.cache_hit = true;
+  response.solution.stats.cache_hit = true;
   EXPECT_EQ(OkResponseJson(wire, response, "{}"),
       R"({"id": null, "status": "ok", "graph": "tab\there", )"
       R"("algo": "core-exact", "weighted": false, "queue_ms": 0, )"

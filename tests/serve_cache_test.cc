@@ -139,9 +139,9 @@ TEST(ServeCacheTest, HitIsBitIdenticalToTheDirectSolve) {
   const ServeResponse& hit = second.responses[0];
   ASSERT_TRUE(miss.status.ok());
   ASSERT_TRUE(hit.status.ok());
-  EXPECT_FALSE(miss.cache_hit);
-  EXPECT_TRUE(hit.cache_hit);
-  EXPECT_FALSE(hit.coalesced);
+  EXPECT_FALSE(miss.solution.stats.cache_hit);
+  EXPECT_TRUE(hit.solution.stats.cache_hit);
+  EXPECT_FALSE(hit.solution.stats.coalesced);
   EXPECT_EQ(miss.version, 0);
   EXPECT_EQ(hit.version, 0);
 
@@ -154,13 +154,10 @@ TEST(ServeCacheTest, HitIsBitIdenticalToTheDirectSolve) {
   EXPECT_EQ(SliceOf(miss.solution), want);
   EXPECT_EQ(SliceOf(hit.solution), want);
 
-  // The hit's provenance markers travel inside the stats too, with the
-  // latency split zeroed (it cost a lookup, not a queue+solve).
-  EXPECT_TRUE(hit.solution.stats.cache_hit);
+  // The hit's latency split is zeroed (it cost a lookup, not a
+  // queue+solve).
   EXPECT_DOUBLE_EQ(hit.solution.stats.queue_ms, 0);
   EXPECT_DOUBLE_EQ(hit.solution.stats.solve_ms, 0);
-  EXPECT_DOUBLE_EQ(hit.queue_ms, 0);
-  EXPECT_DOUBLE_EQ(hit.solve_ms, 0);
 
   // One engine solve served both requests; the hit never reached the
   // accepted/served path.
@@ -216,7 +213,7 @@ TEST(ServeCacheTest, UpdateInvalidatesAndNewVersionSolvesFresh) {
   after.WaitCount(1);
   const ServeResponse& fresh = after.responses[0];
   ASSERT_TRUE(fresh.status.ok());
-  EXPECT_FALSE(fresh.cache_hit);
+  EXPECT_FALSE(fresh.solution.stats.cache_hit);
   EXPECT_EQ(fresh.version, 1);
 
   std::vector<Edge> merged = g.EdgeList();
@@ -240,7 +237,7 @@ TEST(ServeCacheTest, UpdateInvalidatesAndNewVersionSolvesFresh) {
                           third.AsCallback())
                   .ok());
   ASSERT_EQ(third.responses.size(), 1u);
-  EXPECT_TRUE(third.responses[0].cache_hit);
+  EXPECT_TRUE(third.responses[0].solution.stats.cache_hit);
   EXPECT_EQ(third.responses[0].version, 1);
   EXPECT_EQ(SliceOf(third.responses[0].solution),
             SliceOf(expected.value()));
@@ -290,11 +287,10 @@ TEST(ServeCacheTest, SingleFlightCoalescesIdenticalRequests) {
   for (const ServeResponse& r : collector.responses) {
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_EQ(SliceOf(r.solution), want);  // identical responses for all
-    EXPECT_FALSE(r.cache_hit);
+    EXPECT_FALSE(r.solution.stats.cache_hit);
     EXPECT_EQ(r.version, 0);
-    if (r.coalesced) {
+    if (r.solution.stats.coalesced) {
       ++followers;
-      EXPECT_TRUE(r.solution.stats.coalesced);
     } else {
       ++leaders;
     }

@@ -238,11 +238,8 @@ TEST(ServeSchedulerTest, SolutionsBitIdenticalToDirectEngine) {
       const ServeResponse& r = collected[3 * round + a].responses[0];
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
       EXPECT_EQ(SliceOf(r.solution), want) << "round " << round;
-      EXPECT_GE(r.queue_ms, 0);
-      EXPECT_GT(r.solve_ms, 0);
-      // The latency split also travels inside the solution stats.
-      EXPECT_DOUBLE_EQ(r.solution.stats.queue_ms, r.queue_ms);
-      EXPECT_DOUBLE_EQ(r.solution.stats.solve_ms, r.solve_ms);
+      EXPECT_GE(r.solution.stats.queue_ms, 0);
+      EXPECT_GT(r.solution.stats.solve_ms, 0);
     }
   }
 }
@@ -344,7 +341,8 @@ TEST(ServeSchedulerTest, QueueWaitChargesTheDeadline) {
   EXPECT_TRUE(expired.solution.interrupted);
   EXPECT_LE(expired.solution.lower_bound, optimum + 1e-9);
   EXPECT_GE(expired.solution.upper_bound + 1e-9, optimum);
-  EXPECT_GE(expired.queue_ms, 15.0);  // the sleep happened while queued
+  // The sleep happened while queued.
+  EXPECT_GE(expired.solution.stats.queue_ms, 15.0);
 }
 
 TEST(ServeSchedulerTest, StopDrainsEveryAdmittedRequest) {

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,27 +65,6 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossJobs) {
       sum.fetch_add(i, std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), 4950);
-  }
-}
-
-TEST(ThreadPoolTest, OrderedReduceIsScheduleIndependent) {
-  // The fold must run in index order no matter which worker computed
-  // which element: build a string of indices and check it is sorted.
-  for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    const std::vector<int64_t> result =
-        pool.ParallelOrderedReduce<std::vector<int64_t>>(
-            64, {},
-            [](int64_t i, int) {
-              return std::vector<int64_t>{i};
-            },
-            [](std::vector<int64_t> acc, std::vector<int64_t> next) {
-              acc.insert(acc.end(), next.begin(), next.end());
-              return acc;
-            });
-    std::vector<int64_t> expected(64);
-    std::iota(expected.begin(), expected.end(), 0);
-    EXPECT_EQ(result, expected) << "threads=" << threads;
   }
 }
 

@@ -16,8 +16,10 @@ bool SideContains(const std::vector<VertexId>& side, VertexId v) {
 
 // Reference implementation: iterate global re-scans until stable, removing
 // violators in a different (full-scan, highest-id-first) order than the
-// production worklist. Fixpoint uniqueness says results must match.
-XyCore ReferenceXyCore(const Digraph& g, int64_t x, int64_t y) {
+// production worklist and recomputing every weighted degree from scratch.
+// Fixpoint uniqueness says results must match.
+template <typename G>
+XyCore ReferenceXyCore(const G& g, int64_t x, int64_t y) {
   const uint32_t n = g.NumVertices();
   std::vector<bool> in_s(n, true);
   std::vector<bool> in_t(n, true);
@@ -28,7 +30,10 @@ XyCore ReferenceXyCore(const Digraph& g, int64_t x, int64_t y) {
       const VertexId u = static_cast<VertexId>(v);
       if (in_s[u] && x > 0) {
         int64_t deg = 0;
-        for (VertexId w : g.OutNeighbors(u)) deg += in_t[w] ? 1 : 0;
+        const auto nbrs = g.OutNeighbors(u);
+        for (size_t i = 0; i < nbrs.size(); ++i) {
+          if (in_t[nbrs[i]]) deg += g.OutWeight(u, i);
+        }
         if (deg < x) {
           in_s[u] = false;
           changed = true;
@@ -36,7 +41,10 @@ XyCore ReferenceXyCore(const Digraph& g, int64_t x, int64_t y) {
       }
       if (in_t[u] && y > 0) {
         int64_t deg = 0;
-        for (VertexId w : g.InNeighbors(u)) deg += in_s[w] ? 1 : 0;
+        const auto nbrs = g.InNeighbors(u);
+        for (size_t i = 0; i < nbrs.size(); ++i) {
+          if (in_s[nbrs[i]]) deg += g.InWeight(u, i);
+        }
         if (deg < y) {
           in_t[u] = false;
           changed = true;
@@ -141,31 +149,32 @@ TEST(XyCoreTest, WithinRestrictedCandidatesMatchesNestedComputation) {
   // Computing the [3,3]-core within the [1,1]-core equals computing it on
   // the full graph (nestedness).
   const Digraph g = RmatDigraph(7, 1500, 11);
-  const XyCore weak = ComputeXyCore(g, 1, 1);
-  const XyCore direct = ComputeXyCore(g, 3, 3);
-  const XyCore within = ComputeXyCoreWithin(g, 3, 3, weak.s, weak.t);
+  const XyCore weak = ReferenceXyCore(g, 1, 1);
+  const XyCore direct = ReferenceXyCore(g, 3, 3);
+  XyCoreScratch scratch;
+  const XyCore within =
+      ComputeXyCoreWithin(g, 3, 3, weak.s, weak.t, &scratch);
   EXPECT_EQ(within.s, direct.s);
   EXPECT_EQ(within.t, direct.t);
 }
 
 TEST(XyCoreTest, ScratchOverloadMatchesAndReusesAcrossCalls) {
-  // The scratch-backed overload must agree with the scratch-less one (and
-  // hence with the full-graph peel) while one scratch instance serves many
-  // calls with varying thresholds and candidate sets — the exact engine's
-  // per-guess refinement pattern.
+  // The candidate-restricted peel must agree with the reference while one
+  // scratch instance serves many calls with varying thresholds and
+  // candidate sets — the exact engine's per-guess refinement pattern.
   const Digraph g = UniformDigraph(60, 500, 19);
+  const XyCore weak = ReferenceXyCore(g, 1, 1);
   XyCoreScratch scratch;
   for (int64_t x = 1; x <= 4; ++x) {
     for (int64_t y = 1; y <= 4; ++y) {
-      const XyCore weak = ComputeXyCore(g, 1, 1);
-      const XyCore direct = ComputeXyCore(g, x, y);
+      const XyCore direct = ReferenceXyCore(g, x, y);
       const XyCore with_scratch =
           ComputeXyCoreWithin(g, x, y, weak.s, weak.t, &scratch);
       EXPECT_EQ(with_scratch.s, direct.s) << x << "," << y;
       EXPECT_EQ(with_scratch.t, direct.t) << x << "," << y;
       // Nested use: refine the just-computed core further.
       if (!direct.Empty()) {
-        const XyCore tighter = ComputeXyCore(g, x + 1, y);
+        const XyCore tighter = ReferenceXyCore(g, x + 1, y);
         const XyCore nested =
             ComputeXyCoreWithin(g, x + 1, y, direct.s, direct.t, &scratch);
         EXPECT_EQ(nested.s, tighter.s);
@@ -173,6 +182,44 @@ TEST(XyCoreTest, ScratchOverloadMatchesAndReusesAcrossCalls) {
       }
     }
   }
+}
+
+TEST(XyCoreTest, HeavyWeightsMatchReference) {
+  // Weights up to 12 make every threshold a sum of multiplicities, not a
+  // neighbor count. Both entry points are checked against the reference:
+  // the full-graph peel, and the candidate-restricted peel inside the
+  // weaker [x/2, y/2]-core on one reused scratch.
+  WeightOptions heavy;
+  heavy.max_weight = 12;
+  XyCoreScratch scratch;
+  int nonempty = 0, empty = 0;
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    const WeightedDigraph g = seed % 2 == 0
+        ? UniformWeightedDigraph(30, 160, seed, heavy)
+        : AttachRandomWeights(RmatDigraph(5, 200, seed), seed, heavy);
+    ASSERT_GE(g.MaxEdgeWeight(), 9) << "seed " << seed;
+    for (int64_t x : {0, 1, 5, 9, 14, 20, 30, 45}) {
+      for (int64_t y : {0, 1, 5, 9, 14, 20, 30, 45}) {
+        const XyCore want = ReferenceXyCore(g, x, y);
+        ++(want.Empty() ? empty : nonempty);
+        const XyCore got = ComputeXyCore(g, x, y);
+        EXPECT_EQ(got.s, want.s) << "seed " << seed << " x " << x << " y "
+                                 << y;
+        EXPECT_EQ(got.t, want.t) << "seed " << seed << " x " << x << " y "
+                                 << y;
+        const XyCore weak = ReferenceXyCore(g, x / 2, y / 2);
+        const XyCore within =
+            ComputeXyCoreWithin(g, x, y, weak.s, weak.t, &scratch);
+        EXPECT_EQ(within.s, want.s) << "seed " << seed << " x " << x
+                                    << " y " << y;
+        EXPECT_EQ(within.t, want.t) << "seed " << seed << " x " << x
+                                    << " y " << y;
+      }
+    }
+  }
+  // The threshold grid straddles the weighted degrees.
+  EXPECT_GT(nonempty, 0);
+  EXPECT_GT(empty, 0);
 }
 
 TEST(XyCoreTest, ReversalDuality) {
@@ -188,13 +235,14 @@ TEST(XyCoreTest, ReversalDuality) {
 TEST(XyCoreTest, MaximalityNoOutsideVertexCanJoin) {
   // For a random graph and the [2,2]-core: adding any outside vertex to S
   // must violate some constraint after re-peeling (uniqueness of the
-  // maximal fixpoint). Verified by re-running the peel with the vertex
-  // force-included: the fixpoint drops it again.
+  // maximal fixpoint). Verified by re-running the peel with every vertex
+  // offered as a candidate: the fixpoint drops the outsiders again.
   const Digraph g = UniformDigraph(30, 150, 23);
-  const XyCore core = ComputeXyCore(g, 2, 2);
+  const XyCore core = ReferenceXyCore(g, 2, 2);
   std::vector<VertexId> all;
   for (VertexId v = 0; v < g.NumVertices(); ++v) all.push_back(v);
-  const XyCore recomputed = ComputeXyCoreWithin(g, 2, 2, all, all);
+  XyCoreScratch scratch;
+  const XyCore recomputed = ComputeXyCoreWithin(g, 2, 2, all, all, &scratch);
   EXPECT_EQ(recomputed.s, core.s);
   EXPECT_EQ(recomputed.t, core.t);
 }
